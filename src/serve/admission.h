@@ -101,8 +101,9 @@ struct NprobeTunerOptions {
 
 /// \brief AIMD auto-tuner for the IVF nprobe knob against a p99 budget.
 ///
-/// The serving loop feeds each query's current histogram p99
-/// (LatencyHistogram::PercentileMs(0.99)); once per window the tuner
+/// The serving loop feeds each query's current p99 of the service's
+/// request-latency histogram (obs::Histogram::Percentile(0.99) on
+/// `tdmatch_request_latency_ms`); once per window the tuner
 /// reacts: over budget ⇒ halve nprobe (fast multiplicative backoff —
 /// latency is what pages people), under half the budget ⇒ +1 (slow
 /// additive recovery of recall headroom). In between it holds. The current

@@ -200,6 +200,14 @@ MatchService::MatchService(ServiceOptions options)
                             : 0.0;
       });
   registry_->RegisterCallback(
+      MetricType::kGauge, "tdmatch_engine_ivf_from_snapshot",
+      "1 when the serving epoch's shards adopted the snapshot's ivfpq "
+      "section, 0 when they trained k-means",
+      {}, [this] {
+        const auto s = state();
+        return s != nullptr && s->engine->ivf_from_snapshot() ? 1.0 : 0.0;
+      });
+  registry_->RegisterCallback(
       MetricType::kGauge, "tdmatch_snapshot_version",
       "Serving epoch of the loaded snapshot", {}, [this] {
         const auto s = state();

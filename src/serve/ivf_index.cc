@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "serve/kmeans.h"
 #include "util/byte_io.h"
@@ -316,9 +318,9 @@ std::string IvfIndex::Serialize(uint32_t labels_crc) const {
   return out;
 }
 
-util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
-    std::string_view bytes, std::shared_ptr<const VectorMatrix> data,
-    uint32_t labels_crc, const IvfOptions& options) {
+util::Result<IvfSection> IvfSection::Parse(std::string_view bytes,
+                                           size_t n, size_t dim,
+                                           uint32_t labels_crc) {
   using util::Status;
   using util::StrFormat;
   util::ByteCursor cur(bytes);
@@ -342,11 +344,9 @@ util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
   TDM_RETURN_NOT_OK(cur.ReadU64(&nlist64));
   TDM_RETURN_NOT_OK(cur.ReadU32(&pq_m32));
 
-  const size_t d = static_cast<size_t>(data->dim());
-  const size_t n = data->size();
-  if (dim32 != d) {
+  if (dim32 != dim) {
     return Status::IOError(
-        StrFormat("ivf section: dim %u != snapshot dim %zu", dim32, d));
+        StrFormat("ivf section: dim %u != snapshot dim %zu", dim32, dim));
   }
   if (n64 != n) {
     return Status::IOError(StrFormat(
@@ -359,42 +359,39 @@ util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
         StrFormat("ivf section: nlist %zu out of range for n=%zu", nlist, n));
   }
   const size_t m = pq_m32;
-  if (m > 0 && (m > d || d % m != 0)) {
+  if (m > 0 && (m > dim || dim % m != 0)) {
     return Status::IOError(
-        StrFormat("ivf section: pq_m %zu does not divide dim %zu", m, d));
+        StrFormat("ivf section: pq_m %zu does not divide dim %zu", m, dim));
   }
 
-  auto idx = std::unique_ptr<IvfIndex>(new IvfIndex(std::move(data)));
-  idx->options_ = options;
-  idx->options_.nlist = nlist;
-  idx->options_.pq_m = m;
-  idx->nlist_ = nlist;
-  idx->set_nprobe(options.nprobe);
+  IvfSection section;
+  section.n_ = n;
+  section.dim_ = dim;
+  section.nlist_ = nlist;
+  section.pq_m_ = m;
+  TDM_RETURN_NOT_OK(
+      cur.Skip(nlist * dim * sizeof(float), &section.centroids_));
 
-  idx->centroids_.resize(nlist * d);
-  TDM_RETURN_NOT_OK(cur.ReadFloats(idx->centroids_.data(), nlist * d));
-
-  idx->list_offsets_.resize(nlist + 1);
+  section.offsets_.resize(nlist + 1);
   for (size_t c = 0; c <= nlist; ++c) {
     uint64_t off = 0;
     TDM_RETURN_NOT_OK(cur.ReadU64(&off));
-    idx->list_offsets_[c] = static_cast<size_t>(off);
+    section.offsets_[c] = static_cast<size_t>(off);
   }
-  if (idx->list_offsets_.front() != 0 || idx->list_offsets_.back() != n) {
+  if (section.offsets_.front() != 0 || section.offsets_.back() != n) {
     return Status::IOError("ivf section: list offsets do not span [0, n)");
   }
   for (size_t c = 0; c < nlist; ++c) {
-    if (idx->list_offsets_[c] > idx->list_offsets_[c + 1]) {
+    if (section.offsets_[c] > section.offsets_[c + 1]) {
       return Status::IOError(
           StrFormat("ivf section: list offsets not monotone at cell %zu", c));
     }
   }
 
-  idx->list_ids_.resize(n);
-  TDM_RETURN_NOT_OK(
-      cur.ReadBytes(idx->list_ids_.data(), n * sizeof(int32_t)));
+  TDM_RETURN_NOT_OK(cur.Skip(n * sizeof(int32_t), &section.ids_));
   std::vector<char> seen(n, 0);
-  for (const int32_t id : idx->list_ids_) {
+  for (size_t pos = 0; pos < n; ++pos) {
+    const int32_t id = section.id(pos);
     if (id < 0 || static_cast<size_t>(id) >= n || seen[id]) {
       return Status::IOError(StrFormat(
           "ivf section: candidate id %d out of range or duplicated", id));
@@ -403,18 +400,86 @@ util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
   }
 
   if (m > 0) {
-    idx->codebook_.resize(m * kPqCodes * (d / m));
     TDM_RETURN_NOT_OK(
-        cur.ReadFloats(idx->codebook_.data(), idx->codebook_.size()));
-    idx->list_codes_.resize(n * m);
-    TDM_RETURN_NOT_OK(cur.ReadBytes(idx->list_codes_.data(), n * m));
-  } else {
-    idx->list_vectors_.resize(n * d);
-    TDM_RETURN_NOT_OK(cur.ReadFloats(idx->list_vectors_.data(), n * d));
+        cur.Skip(kPqCodes * dim * sizeof(float), &section.codebook_));
   }
+  TDM_RETURN_NOT_OK(cur.Skip(n * section.member_bytes(), &section.payload_));
   if (cur.Remaining() != 0) {
     return Status::IOError(StrFormat(
         "ivf section: %zu trailing bytes after payload", cur.Remaining()));
+  }
+  return section;
+}
+
+int32_t IvfSection::id(size_t pos) const {
+  int32_t id = 0;
+  std::memcpy(&id, ids_ + pos * sizeof(int32_t), sizeof(id));
+  return id;
+}
+
+util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
+    std::string_view bytes, std::shared_ptr<const VectorMatrix> data,
+    uint32_t labels_crc, const IvfOptions& options) {
+  TDM_ASSIGN_OR_RETURN(
+      IvfSection section,
+      IvfSection::Parse(bytes, data->size(),
+                        static_cast<size_t>(data->dim()), labels_crc));
+  std::vector<int32_t> identity(section.n_);
+  std::iota(identity.begin(), identity.end(), 0);
+  return FromSection(section, std::move(data), identity, options);
+}
+
+std::unique_ptr<IvfIndex> IvfIndex::FromSection(
+    const IvfSection& section, std::shared_ptr<const VectorMatrix> data,
+    const std::vector<int32_t>& local_ids, const IvfOptions& options) {
+  const size_t d = section.dim_;
+  const size_t rows = data->size();
+  size_t mapped = 0;
+  for (const int32_t local : local_ids) {
+    TDM_CHECK(local < static_cast<int64_t>(rows)) << "id map past the matrix";
+    if (local >= 0) ++mapped;
+  }
+  TDM_CHECK(static_cast<size_t>(data->dim()) == d &&
+            local_ids.size() == section.n_ && mapped == rows)
+      << "id map does not cover the rows of the matrix";
+  const size_t nlist = section.nlist_;
+  const size_t m = section.pq_m_;
+  auto idx = std::unique_ptr<IvfIndex>(new IvfIndex(std::move(data)));
+  idx->options_ = options;
+  idx->options_.nlist = nlist;
+  idx->options_.pq_m = m;
+  idx->nlist_ = nlist;
+  idx->set_nprobe(options.nprobe);
+  idx->centroids_.resize(nlist * d);
+  std::memcpy(idx->centroids_.data(), section.centroids_,
+              idx->centroids_.size() * sizeof(float));
+
+  char* payload = nullptr;
+  if (m > 0) {
+    idx->codebook_.resize(kPqCodes * d);
+    std::memcpy(idx->codebook_.data(), section.codebook_,
+                idx->codebook_.size() * sizeof(float));
+    idx->list_codes_.resize(rows * m);
+    payload = reinterpret_cast<char*>(idx->list_codes_.data());
+  } else {
+    idx->list_vectors_.resize(rows * d);
+    payload = reinterpret_cast<char*>(idx->list_vectors_.data());
+  }
+  // Section ids are a permutation (Parse), so every mapped member is met
+  // exactly once and the lists fill exactly `rows` slots.
+  const size_t stride = section.member_bytes();
+  idx->list_offsets_.assign(nlist + 1, 0);
+  idx->list_ids_.reserve(rows);
+  for (size_t c = 0; c < nlist; ++c) {
+    for (size_t pos = section.offsets_[c]; pos < section.offsets_[c + 1];
+         ++pos) {
+      const int32_t local = local_ids[static_cast<size_t>(section.id(pos))];
+      if (local < 0) continue;
+      std::memcpy(payload + idx->list_ids_.size() * stride,
+                  section.payload_ + pos * stride, stride);
+      idx->list_ids_.push_back(local);
+    }
+    idx->list_offsets_[c + 1] = idx->list_ids_.size();
   }
   return idx;
 }

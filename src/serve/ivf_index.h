@@ -48,6 +48,41 @@ struct IvfOptions {
   size_t pq_rerank = 64;
 };
 
+/// \brief IvfIndex::Serialize output (a snapshot "ivfpq" section),
+/// validated against one candidate set and read in place.
+///
+/// Parse checks everything before any byte is trusted: wire version,
+/// candidate fingerprint, dim, member count, nlist and pq_m geometry, CSR
+/// offsets that are monotone and span [0, n), list ids that permute
+/// [0, n), and the exact payload length. Only the offsets are copied; the
+/// arrays are read from `bytes`, which must outlive the section.
+class IvfSection {
+ public:
+  /// `n`, `dim` and `labels_crc` describe the candidate set the section
+  /// must have been built over (see IvfIndex::Serialize).
+  static util::Result<IvfSection> Parse(std::string_view bytes, size_t n,
+                                        size_t dim, uint32_t labels_crc);
+
+ private:
+  friend class IvfIndex;
+  IvfSection() = default;
+
+  /// Candidate id at list position `pos` (ids are unaligned in the bytes).
+  int32_t id(size_t pos) const;
+  /// Payload bytes per member: dim floats (flat) or pq_m codes (PQ).
+  size_t member_bytes() const { return pq_m_ > 0 ? pq_m_ : dim_ * 4; }
+
+  size_t n_ = 0;
+  size_t dim_ = 0;
+  size_t nlist_ = 0;
+  size_t pq_m_ = 0;
+  std::vector<size_t> offsets_;        // nlist + 1
+  const char* centroids_ = nullptr;    // nlist × dim f32
+  const char* ids_ = nullptr;          // n i32, list order
+  const char* codebook_ = nullptr;     // PQ only: pq_m × 256 × dim/pq_m f32
+  const char* payload_ = nullptr;      // n × member_bytes(), list order
+};
+
 /// \brief Inverted-file ANN index (the FAISS "IVF-flat" / "IVF-PQ"
 /// recipes): a k-means coarse quantizer partitions the normalized
 /// candidate vectors into `nlist` cells; a query scores the `nprobe`
@@ -125,12 +160,22 @@ class IvfIndex : public Index {
 
   /// Rebuilds an index from Serialize output over the same candidate
   /// matrix. Every count, offset, and id is validated against `data`
-  /// before use (hostile sections are rejected with a descriptive error,
-  /// never a crash). `nprobe`/`pq_rerank`/`threads` come from `options`;
-  /// the trained structure comes from the bytes.
+  /// before use (IvfSection::Parse; hostile sections are rejected with a
+  /// descriptive error, never a crash). `nprobe`/`pq_rerank`/`threads`
+  /// come from `options`; the trained structure comes from the bytes.
   static util::Result<std::unique_ptr<IvfIndex>> Deserialize(
       std::string_view bytes, std::shared_ptr<const VectorMatrix> data,
       uint32_t labels_crc, const IvfOptions& options);
+
+  /// Adopts the members of `section` that `local_ids` maps onto rows of
+  /// `data` (local_ids[g] = row of section candidate g, -1 = not here;
+  /// every row must be mapped). Centroids and PQ codebook are shared;
+  /// each list keeps its mapped members in section order, ids remapped,
+  /// payload copied straight from the section bytes — so a shard probes
+  /// the same cells and scores its members as the whole index would.
+  static std::unique_ptr<IvfIndex> FromSection(
+      const IvfSection& section, std::shared_ptr<const VectorMatrix> data,
+      const std::vector<int32_t>& local_ids, const IvfOptions& options);
 
  private:
   explicit IvfIndex(std::shared_ptr<const VectorMatrix> data)

@@ -1,7 +1,5 @@
 #include "serve/query_engine.h"
 
-#include <condition_variable>
-#include <mutex>
 #include <utility>
 
 #include "util/crc32.h"
@@ -13,13 +11,22 @@ namespace serve {
 
 constexpr char QueryEngine::kIvfSectionTag[];
 
-uint32_t QueryEngine::candidate_labels_crc() const {
+uint32_t QueryEngine::CandidateLabelsCrc(
+    const std::vector<std::string>& labels) {
   uint32_t crc = 0;
-  for (const auto& label : candidate_labels_) {
+  for (const auto& label : labels) {
     crc = util::Crc32(label.data(), label.size(), crc);
     crc = util::Crc32("\0", 1, crc);  // unambiguous label boundaries
   }
   return crc;
+}
+
+std::string_view QueryEngine::IvfSectionBytes(const Snapshot& snapshot,
+                                              const SnapshotView* view) {
+  if (const std::string* s = snapshot.Section(kIvfSectionTag)) return *s;
+  if (view == nullptr) return {};
+  const std::string_view* s = view->Section(kIvfSectionTag);
+  return s != nullptr ? *s : std::string_view();
 }
 
 std::string QueryEngine::SerializeIvfSection() const {
@@ -30,32 +37,18 @@ std::string QueryEngine::SerializeIvfSection() const {
 util::Result<QueryEngine> QueryEngine::Build(
     Snapshot snapshot, std::vector<std::string> candidates,
     QueryEngineOptions options) {
-  if (candidates.empty()) {
-    return util::Status::InvalidArgument("candidate set is empty");
-  }
-  QueryEngine engine;
   std::vector<const std::vector<float>*> rows;
   rows.reserve(candidates.size());
-  engine.candidate_index_.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::vector<float>* vec = snapshot.table.Get(candidates[i]);
+  for (const auto& label : candidates) {
+    const std::vector<float>* vec = snapshot.table.Get(label);
     if (vec == nullptr) {
-      return util::Status::NotFound(
-          util::StrFormat("candidate '%s' has no vector in snapshot '%s'",
-                          candidates[i].c_str(),
-                          snapshot.meta.scenario.c_str()));
-    }
-    const bool inserted =
-        engine.candidate_index_
-            .emplace(candidates[i], static_cast<int32_t>(i))
-            .second;
-    if (!inserted) {
-      return util::Status::InvalidArgument("duplicate candidate label: " +
-                                           candidates[i]);
+      return util::Status::NotFound(util::StrFormat(
+          "candidate '%s' has no vector in snapshot '%s'", label.c_str(),
+          snapshot.meta.scenario.c_str()));
     }
     rows.push_back(vec);
   }
-
+  QueryEngine engine;
   engine.matrix_ = std::make_shared<VectorMatrix>(
       VectorMatrix::FromRows(rows, snapshot.table.dim()));
   engine.snapshot_ = std::move(snapshot);
@@ -75,8 +68,6 @@ util::Result<QueryEngine> QueryEngine::BuildFromView(
   for (size_t i = 0; i < view->size(); ++i) {
     const std::string_view label = view->label(i);
     if (!util::StartsWith(label, prefix)) continue;
-    engine.candidate_index_.emplace(
-        std::string(label), static_cast<int32_t>(candidate_rows.size()));
     engine.candidate_labels_.emplace_back(label);
     candidate_rows.push_back(i);
   }
@@ -100,12 +91,9 @@ util::Result<QueryEngine> QueryEngine::BuildFromView(
 util::Result<QueryEngine> QueryEngine::BuildOverMatrix(
     std::shared_ptr<const VectorMatrix> matrix,
     std::vector<std::string> candidate_labels, SnapshotMeta meta,
-    QueryEngineOptions options) {
+    QueryEngineOptions options, std::unique_ptr<IvfIndex> ivf) {
   if (matrix == nullptr) {
     return util::Status::InvalidArgument("candidate matrix is null");
-  }
-  if (candidate_labels.empty()) {
-    return util::Status::InvalidArgument("candidate set is empty");
   }
   if (candidate_labels.size() != matrix->size()) {
     return util::Status::InvalidArgument(util::StrFormat(
@@ -113,48 +101,41 @@ util::Result<QueryEngine> QueryEngine::BuildOverMatrix(
         candidate_labels.size()));
   }
   QueryEngine engine;
-  engine.candidate_index_.reserve(candidate_labels.size());
-  for (size_t i = 0; i < candidate_labels.size(); ++i) {
-    const bool inserted =
-        engine.candidate_index_
-            .emplace(candidate_labels[i], static_cast<int32_t>(i))
-            .second;
-    if (!inserted) {
-      return util::Status::InvalidArgument("duplicate candidate label: " +
-                                           candidate_labels[i]);
-    }
-  }
   engine.matrix_ = std::move(matrix);
   engine.candidate_labels_ = std::move(candidate_labels);
   engine.snapshot_.meta = std::move(meta);
   engine.snapshot_.table = embed::EmbeddingTable(engine.matrix_->dim());
-  // A snapshot "ivfpq" section fingerprints the full candidate set; a
-  // matrix built over a partition can never match it.
-  options.use_snapshot_index = false;
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
+  TDM_RETURN_NOT_OK(engine.FinishBuild(options, std::move(ivf)));
   return engine;
 }
 
-util::Status QueryEngine::FinishBuild(QueryEngineOptions options) {
+util::Status QueryEngine::FinishBuild(QueryEngineOptions options,
+                                      std::unique_ptr<IvfIndex> adopted) {
+  if (candidate_labels_.empty()) {
+    return util::Status::InvalidArgument("candidate set is empty");
+  }
+  candidate_index_.reserve(candidate_labels_.size());
+  for (size_t i = 0; i < candidate_labels_.size(); ++i) {
+    if (!candidate_index_.emplace(candidate_labels_[i], static_cast<int32_t>(i))
+             .second) {
+      return util::Status::InvalidArgument("duplicate candidate label: " +
+                                           candidate_labels_[i]);
+    }
+  }
   options_ = options;
   exact_ = std::make_unique<ExactIndex>(matrix_);
   if (options.build_ivf) {
     IvfOptions ivf = options.ivf;
     ivf.threads = options.threads;
+    ivf_ = std::move(adopted);
+    ivf_from_snapshot_ = ivf_ != nullptr;
     // A snapshot may carry the trained index as an "ivfpq" section;
     // adopting it skips k-means at startup. The section's candidate
     // fingerprint and geometry are validated against what this engine
     // actually resolved — on any mismatch we train instead (slower, never
     // wrong).
-    if (options.use_snapshot_index) {
-      std::string_view bytes;
-      if (const std::string* s = snapshot_.Section(kIvfSectionTag)) {
-        bytes = *s;
-      } else if (view_ != nullptr) {
-        if (const std::string_view* s = view_->Section(kIvfSectionTag)) {
-          bytes = *s;
-        }
-      }
+    if (ivf_ == nullptr && options.use_snapshot_index) {
+      const std::string_view bytes = IvfSectionBytes(snapshot_, view_.get());
       if (!bytes.empty()) {
         auto loaded = IvfIndex::Deserialize(bytes, matrix_,
                                             candidate_labels_crc(), ivf);
@@ -307,45 +288,18 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVectorFiltered(
 std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(
     const std::vector<std::string>& labels, size_t k, SearchMode mode,
     size_t nprobe) const {
-  // Pre-size with per-slot placeholders, then let the shards overwrite
+  // Pre-size with per-slot placeholders, then let the chunks overwrite
   // their ranges: no locking on the result vector, and the output order
   // never depends on the thread count.
-  const size_t n = labels.size();
   std::vector<util::Result<std::vector<ScoredMatch>>> results(
-      n, util::Status::Internal("query not executed"));
-  const size_t shards = std::min(options_.threads, n);
-  if (pool_ == nullptr || shards <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      results[i] = Query(labels[i], k, mode, nprobe);
-    }
-    return results;
-  }
-
-  // Contiguous chunks on the persistent pool; this batch tracks its own
-  // completion so concurrent batches never wait on each other's tasks.
-  // The decrement happens under the mutex: the caller can only observe
-  // remaining == 0 after the finishing worker has released the lock, so
-  // the stack-local sync state cannot be destroyed under a worker.
-  std::vector<std::pair<size_t, size_t>> ranges;
-  const size_t chunk = (n + shards - 1) / shards;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    ranges.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  size_t remaining = ranges.size();
-  std::mutex mu;
-  std::condition_variable done;
-  for (const auto& range : ranges) {
-    pool_->Submit([this, &labels, &results, &remaining, &mu, &done, range,
-                   k, mode, nprobe] {
-      for (size_t i = range.first; i < range.second; ++i) {
-        results[i] = Query(labels[i], k, mode, nprobe);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&remaining] { return remaining == 0; });
+      labels.size(), util::Status::Internal("query not executed"));
+  util::ThreadPool::RunChunked(
+      pool_.get(), labels.size(), options_.threads,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          results[i] = Query(labels[i], k, mode, nprobe);
+        }
+      });
   return results;
 }
 

@@ -94,13 +94,15 @@ class QueryEngine {
   /// matrix and its labels — the shard-engine path: ShardedQueryEngine
   /// partitions one snapshot's candidate set and hands each shard its
   /// slice. The engine owns no snapshot payload (label-addressed Query
-  /// only resolves candidate labels via QueryVector at the sharded layer);
-  /// snapshot "ivfpq" sections are not consulted (they fingerprint the
-  /// full candidate set, not a partition).
+  /// only resolves candidate labels via QueryVector at the sharded layer).
+  /// `ivf`, when given, is the shard's slice of the snapshot's "ivfpq"
+  /// section (IvfIndex::FromSection over `matrix`) and is adopted as is;
+  /// otherwise the IVF index is trained (when options.build_ivf).
   static util::Result<QueryEngine> BuildOverMatrix(
       std::shared_ptr<const VectorMatrix> matrix,
       std::vector<std::string> candidate_labels, SnapshotMeta meta,
-      QueryEngineOptions options = {});
+      QueryEngineOptions options = {},
+      std::unique_ptr<IvfIndex> ivf = nullptr);
 
   /// Top-k for the embedding stored under `label` (k = 0 ⇒ default_k).
   /// `nprobe` > 0 overrides the IVF probe count for this query only
@@ -163,7 +165,15 @@ class QueryEngine {
   /// CRC-32 fingerprint of the engine's candidate labels (NUL-joined, in
   /// candidate-id order) — ties a serialized index section to the exact
   /// candidate set it was built over.
-  uint32_t candidate_labels_crc() const;
+  uint32_t candidate_labels_crc() const {
+    return CandidateLabelsCrc(candidate_labels_);
+  }
+  /// The same fingerprint over any label list in candidate-id order.
+  static uint32_t CandidateLabelsCrc(const std::vector<std::string>& labels);
+  /// The "ivfpq" section of a loaded snapshot or, failing that, of a
+  /// mapped view (may be null); empty when there is none.
+  static std::string_view IvfSectionBytes(const Snapshot& snapshot,
+                                          const SnapshotView* view);
 
   /// True when the IVF index was adopted from a snapshot "ivfpq" section
   /// rather than trained at build time.
@@ -185,10 +195,11 @@ class QueryEngine {
   /// number of distinct candidates allowed.
   size_t BuildMask(const std::vector<std::string>& allowed,
                    std::vector<char>* mask) const;
-  /// Indexes candidate_index_/candidate_labels_, builds the exact/IVF
-  /// indexes over matrix_ and the batch pool — the tail shared by every
-  /// Build flavor.
-  util::Status FinishBuild(QueryEngineOptions options);
+  /// Builds the exact index over matrix_, adopts `ivf` or the snapshot's
+  /// "ivfpq" section or trains the IVF index, and starts the batch pool —
+  /// the tail shared by every Build flavor.
+  util::Status FinishBuild(QueryEngineOptions options,
+                           std::unique_ptr<IvfIndex> ivf = nullptr);
   /// The embedding stored under `label`: a pointer into the table or the
   /// mapped view (copy-free on both hot paths; `scratch` is only written
   /// for an unaligned mapping). Null when the label is unknown.

@@ -1,12 +1,12 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <functional>
-#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "serve/mmap_snapshot.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -17,28 +17,16 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::Build(
     Snapshot snapshot, const std::string& prefix,
     ShardedEngineOptions options) {
   ShardedQueryEngine sharded(options);
-  if (sharded.delegate()) {
-    TDM_ASSIGN_OR_RETURN(QueryEngine engine,
-                         QueryEngine::BuildForPrefix(std::move(snapshot),
-                                                     prefix, options.engine));
-    sharded.AdoptDelegate(std::move(engine));
-    return sharded;
-  }
   std::vector<std::string> labels;
   for (const auto& label : snapshot.table.Labels()) {
     if (util::StartsWith(label, prefix)) labels.push_back(label);
-  }
-  if (labels.empty()) {
-    return util::Status::NotFound(util::StrFormat(
-        "snapshot '%s' has no labels with candidate prefix '%s'",
-        snapshot.meta.scenario.c_str(), prefix.c_str()));
   }
   sharded.snapshot_ = std::move(snapshot);
   sharded.meta_ = sharded.snapshot_.meta;
   sharded.dim_ = sharded.snapshot_.table.dim();
   const embed::EmbeddingTable& table = sharded.snapshot_.table;
   TDM_RETURN_NOT_OK(sharded.BuildShards(
-      labels, [&table, &labels](const std::vector<size_t>& global_ids) {
+      labels, prefix, [&table, &labels](const std::vector<size_t>& global_ids) {
         std::vector<const std::vector<float>*> rows;
         rows.reserve(global_ids.size());
         for (const size_t g : global_ids) rows.push_back(table.Get(labels[g]));
@@ -54,13 +42,6 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
     return util::Status::InvalidArgument("snapshot view is null");
   }
   ShardedQueryEngine sharded(options);
-  if (sharded.delegate()) {
-    TDM_ASSIGN_OR_RETURN(QueryEngine engine,
-                         QueryEngine::BuildFromView(std::move(view), prefix,
-                                                    options.engine));
-    sharded.AdoptDelegate(std::move(engine));
-    return sharded;
-  }
   // Global candidate order = view scan order, exactly as the unsharded
   // BuildFromView resolves it — the order the bit-identity proof leans on.
   std::vector<std::string> labels;
@@ -71,17 +52,12 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
     labels.emplace_back(label);
     view_rows.push_back(i);
   }
-  if (view_rows.empty()) {
-    return util::Status::NotFound(util::StrFormat(
-        "snapshot '%s' has no labels with candidate prefix '%s'",
-        view->meta().scenario.c_str(), prefix.c_str()));
-  }
   sharded.meta_ = view->meta();
   sharded.dim_ = view->dim();
   sharded.view_ = std::move(view);
   const SnapshotView& v = *sharded.view_;
   TDM_RETURN_NOT_OK(sharded.BuildShards(
-      labels, [&v, &view_rows](const std::vector<size_t>& global_ids) {
+      labels, prefix, [&v, &view_rows](const std::vector<size_t>& global_ids) {
         std::vector<size_t> rows;
         rows.reserve(global_ids.size());
         for (const size_t g : global_ids) rows.push_back(view_rows[g]);
@@ -90,36 +66,51 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
   return sharded;
 }
 
-void ShardedQueryEngine::AdoptDelegate(QueryEngine engine) {
-  dim_ = engine.table().dim();
-  num_candidates_ = engine.num_candidates();
-  if (engine.has_ivf()) max_nprobe_ = engine.ivf_index()->nlist();
-  shards_.push_back(std::move(engine));
-}
-
 util::Status ShardedQueryEngine::BuildShards(
-    const std::vector<std::string>& labels,
+    const std::vector<std::string>& labels, const std::string& prefix,
     const std::function<VectorMatrix(const std::vector<size_t>&)>& gather) {
+  if (labels.empty()) {
+    return util::Status::NotFound(util::StrFormat(
+        "snapshot '%s' has no labels with candidate prefix '%s'",
+        meta_.scenario.c_str(), prefix.c_str()));
+  }
   num_candidates_ = labels.size();
   // Partition in global candidate order: each shard's local ids ascend
   // with global ids, so the shard-local TopK tie-break (lower local
   // index) agrees with the global one (lower global index).
-  std::vector<std::vector<size_t>> members(options_.shards);
+  std::vector<std::vector<size_t>> pending(options_.shards);
   for (size_t i = 0; i < labels.size(); ++i) {
-    members[sharder_.ShardFor(labels[i])].push_back(i);
+    pending[sharder_.ShardFor(labels[i])].push_back(i);
   }
-  std::vector<std::vector<size_t>> pending;
-  for (auto& m : members) {
-    if (!m.empty()) pending.push_back(std::move(m));
+  pending.erase(std::remove_if(pending.begin(), pending.end(),
+                               [](const auto& m) { return m.empty(); }),
+                pending.end());
+
+  // The snapshot's index section fingerprints the whole candidate set:
+  // validate it once here, then every shard adopts its own slice.
+  const std::string_view bytes =
+      QueryEngine::IvfSectionBytes(snapshot_, view_.get());
+  std::optional<IvfSection> section;
+  if (options_.engine.build_ivf && options_.engine.use_snapshot_index &&
+      !bytes.empty()) {
+    auto parsed = IvfSection::Parse(
+        bytes, labels.size(), static_cast<size_t>(dim_),
+        QueryEngine::CandidateLabelsCrc(labels));
+    if (parsed.ok()) {
+      section = std::move(parsed).ValueOrDie();
+    } else {
+      TDM_LOG(Warning) << "ignoring snapshot index section: "
+                       << parsed.status().ToString();
+    }
   }
 
   // Shard engines are built single-threaded (the shard is the unit of
   // parallelism — at build time across shards here, at query time across
-  // the scatter) and never consult snapshot index sections (those
-  // fingerprint the full candidate set).
+  // the scatter).
   QueryEngineOptions shard_opts = options_.engine;
   shard_opts.threads = 1;
-  shard_opts.use_snapshot_index = false;
+  IvfOptions ivf_opts = shard_opts.ivf;
+  ivf_opts.threads = 1;
 
   std::vector<util::Result<QueryEngine>> built;
   built.reserve(pending.size());
@@ -132,12 +123,21 @@ util::Status ShardedQueryEngine::BuildShards(
       pending.size(), build_threads,
       [&](size_t begin, size_t end, size_t) {
         for (size_t i = begin; i < end; ++i) {
+          auto matrix = std::make_shared<VectorMatrix>(gather(pending[i]));
+          std::unique_ptr<IvfIndex> ivf;
+          if (section.has_value()) {
+            std::vector<int32_t> local_ids(labels.size(), -1);
+            for (size_t j = 0; j < pending[i].size(); ++j) {
+              local_ids[pending[i][j]] = static_cast<int32_t>(j);
+            }
+            ivf = IvfIndex::FromSection(*section, matrix, local_ids, ivf_opts);
+          }
           std::vector<std::string> shard_labels;
           shard_labels.reserve(pending[i].size());
           for (const size_t g : pending[i]) shard_labels.push_back(labels[g]);
           built[i] = QueryEngine::BuildOverMatrix(
-              std::make_shared<VectorMatrix>(gather(pending[i])),
-              std::move(shard_labels), meta_, shard_opts);
+              std::move(matrix), std::move(shard_labels), meta_, shard_opts,
+              std::move(ivf));
         }
       });
   for (size_t i = 0; i < pending.size(); ++i) {
@@ -147,12 +147,7 @@ util::Status ShardedQueryEngine::BuildShards(
       max_nprobe_ = std::max(max_nprobe_, engine.ivf_index()->nlist());
     }
     shards_.push_back(std::move(engine));
-    std::vector<int32_t> global_ids;
-    global_ids.reserve(pending[i].size());
-    for (const size_t g : pending[i]) {
-      global_ids.push_back(static_cast<int32_t>(g));
-    }
-    shard_global_ids_.push_back(std::move(global_ids));
+    shard_global_ids_.emplace_back(pending[i].begin(), pending[i].end());
   }
   if (options_.engine.threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.engine.threads);
@@ -160,30 +155,19 @@ util::Status ShardedQueryEngine::BuildShards(
   return util::Status::OK();
 }
 
-const SnapshotMeta& ShardedQueryEngine::meta() const {
-  return delegate() ? shards_[0].meta() : meta_;
-}
-
-int ShardedQueryEngine::dim() const { return dim_; }
-
-size_t ShardedQueryEngine::num_candidates() const { return num_candidates_; }
-
-bool ShardedQueryEngine::has_ivf() const {
-  return !shards_.empty() && shards_[0].has_ivf();
-}
-
-const float* ShardedQueryEngine::LookupVector(
-    const std::string& label, std::vector<float>* scratch) const {
+util::Result<std::vector<float>> ShardedQueryEngine::LabelVector(
+    const std::string& label) const {
   if (view_ != nullptr) {
     const int64_t row = view_->FindRow(label);
-    if (row < 0) return nullptr;
-    if (view_->aligned()) return view_->row(static_cast<size_t>(row));
-    scratch->resize(static_cast<size_t>(view_->dim()));
-    view_->CopyRow(static_cast<size_t>(row), scratch->data());
-    return scratch->data();
+    if (row >= 0) {
+      std::vector<float> vec(static_cast<size_t>(dim_));
+      view_->CopyRow(static_cast<size_t>(row), vec.data());
+      return vec;
+    }
+  } else if (const std::vector<float>* vec = snapshot_.table.Get(label)) {
+    return *vec;
   }
-  const std::vector<float>* vec = snapshot_.table.Get(label);
-  return vec == nullptr ? nullptr : vec->data();
+  return util::Status::NotFound("no embedding for label '" + label + "'");
 }
 
 util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
@@ -206,21 +190,9 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
   };
   util::StopWatch stage_watch;
   if (use_pool && pool_ != nullptr && s > 1) {
-    // Leaf-task scatter with its own completion latch (the QueryBatch
-    // pattern): shard tasks never submit further work, so concurrent
+    // Leaf tasks: shard queries never submit further work, so concurrent
     // scatters share the pool without deadlock.
-    size_t remaining = s;
-    std::mutex mu;
-    std::condition_variable done;
-    for (size_t i = 0; i < s; ++i) {
-      pool_->Submit([&, i] {
-        run_shard(i);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) done.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    done.wait(lock, [&remaining] { return remaining == 0; });
+    pool_->RunTasks(s, run_shard);
   } else {
     for (size_t i = 0; i < s; ++i) run_shard(i);
   }
@@ -235,10 +207,10 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
   merged.reserve(s * k);
   for (size_t i = 0; i < s; ++i) {
     if (!per[i].ok()) return per[i].status();
-    for (const ScoredMatch& m : *per[i]) {
+    for (ScoredMatch& m : *per[i]) {
       merged.push_back(ScoredMatch{
-          m.label, shard_global_ids_[i][static_cast<size_t>(m.candidate)],
-          m.score});
+          std::move(m.label),
+          shard_global_ids_[i][static_cast<size_t>(m.candidate)], m.score});
     }
   }
   std::sort(merged.begin(), merged.end(),
@@ -254,35 +226,10 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
   return merged;
 }
 
-namespace {
-
-/// Delegate-mode timing: the single engine call is the scatter stage and
-/// there is nothing to merge.
-template <typename Fn>
-auto TimeAsScatter(ShardedQueryEngine::QueryTiming* timing, Fn&& fn) {
-  if (timing == nullptr) return fn();
-  util::StopWatch watch;
-  auto result = fn();
-  timing->scatter_ms = watch.ElapsedMillis();
-  timing->merge_ms = 0.0;
-  return result;
-}
-
-}  // namespace
-
 util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::Query(
     const std::string& label, size_t k, SearchMode mode, size_t nprobe,
     QueryTiming* timing) const {
-  if (delegate()) {
-    return TimeAsScatter(
-        timing, [&] { return shards_[0].Query(label, k, mode, nprobe); });
-  }
-  std::vector<float> scratch;
-  const float* vec = LookupVector(label, &scratch);
-  if (vec == nullptr) {
-    return util::Status::NotFound("no embedding for label '" + label + "'");
-  }
-  std::vector<float> q(vec, vec + static_cast<size_t>(dim_));
+  TDM_ASSIGN_OR_RETURN(std::vector<float> q, LabelVector(label));
   return ScatterVector(q, k, mode, nprobe, nullptr, /*use_pool=*/true,
                        timing);
 }
@@ -290,10 +237,6 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::Query(
 util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::QueryVector(
     const std::vector<float>& vec, size_t k, SearchMode mode, size_t nprobe,
     QueryTiming* timing) const {
-  if (delegate()) {
-    return TimeAsScatter(
-        timing, [&] { return shards_[0].QueryVector(vec, k, mode, nprobe); });
-  }
   return ScatterVector(vec, k, mode, nprobe, nullptr, /*use_pool=*/true,
                        timing);
 }
@@ -301,17 +244,7 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::QueryVector(
 util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::QueryFiltered(
     const std::string& label, const std::vector<std::string>& allowed,
     size_t k, QueryTiming* timing) const {
-  if (delegate()) {
-    return TimeAsScatter(timing, [&] {
-      return shards_[0].QueryFiltered(label, allowed, k);
-    });
-  }
-  std::vector<float> scratch;
-  const float* vec = LookupVector(label, &scratch);
-  if (vec == nullptr) {
-    return util::Status::NotFound("no embedding for label '" + label + "'");
-  }
-  std::vector<float> q(vec, vec + static_cast<size_t>(dim_));
+  TDM_ASSIGN_OR_RETURN(std::vector<float> q, LabelVector(label));
   return ScatterVector(q, k, SearchMode::kExact, 0, &allowed,
                        /*use_pool=*/true, timing);
 }
@@ -320,47 +253,21 @@ std::vector<util::Result<std::vector<ScoredMatch>>>
 ShardedQueryEngine::QueryBatch(const std::vector<std::string>& labels,
                                size_t k, SearchMode mode,
                                size_t nprobe) const {
-  if (delegate()) return shards_[0].QueryBatch(labels, k, mode, nprobe);
-  const size_t n = labels.size();
   std::vector<util::Result<std::vector<ScoredMatch>>> results(
-      n, util::Status::Internal("query not executed"));
+      labels.size(), util::Status::Internal("query not executed"));
   // Parallelism is over the queries; each worker runs its queries' shard
   // fan-out inline (a pooled scatter inside a pooled batch would be a
   // blocking submit from a worker — the classic self-deadlock).
-  auto run_query = [&](size_t i) {
-    std::vector<float> scratch;
-    const float* vec = LookupVector(labels[i], &scratch);
-    if (vec == nullptr) {
-      results[i] = util::Status::NotFound("no embedding for label '" +
-                                          labels[i] + "'");
-      return;
-    }
-    std::vector<float> q(vec, vec + static_cast<size_t>(dim_));
-    results[i] = ScatterVector(q, k, mode, nprobe, nullptr,
-                               /*use_pool=*/false);
-  };
-  const size_t workers = std::min(options_.engine.threads, n);
-  if (pool_ == nullptr || workers <= 1) {
-    for (size_t i = 0; i < n; ++i) run_query(i);
-    return results;
-  }
-  std::vector<std::pair<size_t, size_t>> ranges;
-  const size_t chunk = (n + workers - 1) / workers;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    ranges.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  size_t remaining = ranges.size();
-  std::mutex mu;
-  std::condition_variable done;
-  for (const auto& range : ranges) {
-    pool_->Submit([&, range] {
-      for (size_t i = range.first; i < range.second; ++i) run_query(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&remaining] { return remaining == 0; });
+  util::ThreadPool::RunChunked(
+      pool_.get(), labels.size(), options_.engine.threads,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          auto q = LabelVector(labels[i]);
+          results[i] = q.ok() ? ScatterVector(*q, k, mode, nprobe, nullptr,
+                                              /*use_pool=*/false)
+                              : q.status();
+        }
+      });
   return results;
 }
 

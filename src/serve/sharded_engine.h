@@ -16,16 +16,14 @@ namespace tdmatch {
 namespace serve {
 
 struct ShardedEngineOptions {
-  /// Shard count N. 1 ⇒ no partitioning: the single shard is a plain
-  /// QueryEngine built through the full-featured path (snapshot "ivfpq"
-  /// section adoption included) and every call delegates to it.
+  /// Shard count N. 1 is one shard that owns every candidate; it runs the
+  /// same scatter-merge path as any other N.
   size_t shards = 1;
   /// Ring construction (virtual node count, seed).
   SharderOptions sharder;
   /// Per-shard engine build options. `engine.threads` sizes the scatter
-  /// pool (and, for shards == 1, the delegate's batch pool); shard
-  /// engines themselves are built single-threaded so a query fans out
-  /// across shards, not across nested pools.
+  /// pool; shard engines themselves are built single-threaded so a query
+  /// fans out across shards, not across nested pools.
   QueryEngineOptions engine;
 };
 
@@ -42,11 +40,17 @@ struct ShardedEngineOptions {
 /// the unsharded engine for every shard count** (scores included; locked
 /// by tests across N ∈ {1,2,4,8}).
 ///
-/// Approx mode is the documented exception: each shard trains k-means over
-/// its own slice, so the probed cells — and therefore the candidate sets —
-/// differ from the global IVF index. Results are still deterministic for a
-/// fixed (snapshot, N, options) and recall-gated by tests, just not
-/// bit-equal across shard counts.
+/// Approx mode: when the snapshot carries an "ivfpq" section built over
+/// the whole candidate set, it is validated once against the global
+/// candidates and every shard adopts its slice of it — the shared
+/// centroids (and PQ codebook) plus its own members of every inverted
+/// list (IvfIndex::FromSection). Every shard then probes the cells the
+/// unsharded index would, so IVF-flat results are bit-identical to the
+/// unsharded adopted engine at any N, and IVF-PQ shards each re-rank
+/// their own ADC shortlist (together a superset of the unsharded one).
+/// Without a valid section each shard trains k-means over its own slice:
+/// results are deterministic for a fixed (snapshot, N, options) but not
+/// equal across shard counts.
 ///
 /// Immutable after Build; all query APIs are const and safe for concurrent
 /// callers (the scatter pool serializes nothing but the task queue).
@@ -65,8 +69,7 @@ class ShardedQueryEngine {
 
   /// Per-call stage timings, filled when a caller passes a non-null
   /// out-param (tracing). Purely observational — never consulted by the
-  /// merge, so results are identical with or without it. In delegate
-  /// mode the whole engine call counts as scatter and merge is 0.
+  /// merge, so results are identical with or without it.
   struct QueryTiming {
     double scatter_ms = 0.0;  // fan-out + per-shard top-k
     double merge_ms = 0.0;    // global-id mapping + re-rank + truncate
@@ -98,21 +101,21 @@ class ShardedQueryEngine {
       const std::vector<std::string>& labels, size_t k = 0,
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
 
-  const SnapshotMeta& meta() const;
-  int dim() const;
-  size_t num_candidates() const;
-  bool has_ivf() const;
+  const SnapshotMeta& meta() const { return meta_; }
+  int dim() const { return dim_; }
+  size_t num_candidates() const { return num_candidates_; }
+  bool has_ivf() const { return shards_[0].has_ivf(); }
+  /// True when every shard adopted its slice of the snapshot's "ivfpq"
+  /// section (false when the IVF index was trained, or not built).
+  bool ivf_from_snapshot() const { return shards_[0].ivf_from_snapshot(); }
   /// Configured shard count N (shards with zero candidates build no
   /// engine; see active_shards()).
   size_t num_shards() const { return options_.shards; }
   /// Shards that actually own candidates.
   size_t active_shards() const { return shards_.size(); }
-  /// Candidate count of active shard i (diagnostics / tests). The
-  /// delegate owns every candidate and no id-translation table.
-  size_t shard_size(size_t i) const {
-    return delegate() ? shards_[i].num_candidates()
-                      : shard_global_ids_[i].size();
-  }
+  /// Active shard i and its candidate count (diagnostics / tests).
+  const QueryEngine& shard(size_t i) const { return shards_[i]; }
+  size_t shard_size(size_t i) const { return shards_[i].num_candidates(); }
   /// Largest IVF nlist across shards — the ceiling for per-query nprobe
   /// overrides. 0 without IVF.
   size_t max_nprobe() const { return max_nprobe_; }
@@ -124,19 +127,18 @@ class ShardedQueryEngine {
       : options_(options),
         sharder_(options.shards < 1 ? 1 : options.shards, options.sharder) {}
 
-  bool delegate() const { return options_.shards <= 1; }
-  /// Wraps a full-featured single engine (the shards == 1 path).
-  void AdoptDelegate(QueryEngine engine);
-  /// Partitions `labels` (global candidate order) and builds one engine
-  /// per non-empty shard; `gather` materializes the normalized matrix for
-  /// a list of global candidate ids (table rows or mapped payload rows).
+  /// Partitions `labels` (global candidate order, those with `prefix`)
+  /// and builds one engine per non-empty shard; `gather` materializes the
+  /// normalized matrix for a list of global candidate ids (table rows or
+  /// mapped payload rows). The snapshot's "ivfpq" section is validated
+  /// once over `labels` and sliced per shard; one that fails validation
+  /// is logged and every shard trains instead.
   util::Status BuildShards(
-      const std::vector<std::string>& labels,
+      const std::vector<std::string>& labels, const std::string& prefix,
       const std::function<VectorMatrix(const std::vector<size_t>&)>& gather);
-  /// The raw (unnormalized) embedding stored under `label`, from the view
-  /// or the loaded table. Null when unknown.
-  const float* LookupVector(const std::string& label,
-                            std::vector<float>* scratch) const;
+  /// A copy of the raw (unnormalized) embedding stored under `label`, from
+  /// the view or the loaded table; NotFound when unknown.
+  util::Result<std::vector<float>> LabelVector(const std::string& label) const;
   /// Fans `vec` out to every shard (on the pool when `use_pool`), merges
   /// by (score desc, global id asc), truncates to k.
   util::Result<std::vector<ScoredMatch>> ScatterVector(
@@ -151,8 +153,7 @@ class ShardedQueryEngine {
   size_t num_candidates_ = 0;
   size_t max_nprobe_ = 0;
   /// Copy path keeps the loaded snapshot for label lookups; view path
-  /// keeps the mapping. Both empty in delegate mode (the single shard
-  /// owns them).
+  /// keeps the mapping.
   Snapshot snapshot_;
   std::shared_ptr<const SnapshotView> view_;
   /// Non-empty shards, in shard-id order.

@@ -38,11 +38,18 @@ Status ByteCursor::ReadString(std::string* s) {
 }
 
 Status ByteCursor::ReadRaw(void* out, size_t bytes) {
+  const char* at = nullptr;
+  TDM_RETURN_NOT_OK(Skip(bytes, &at));
+  std::memcpy(out, at, bytes);
+  return Status::OK();
+}
+
+Status ByteCursor::Skip(size_t bytes, const char** at) {
   if (bytes > Remaining()) {
     return Status::IOError(StrFormat(
         "truncated: need %zu bytes, %zu left", bytes, Remaining()));
   }
-  std::memcpy(out, data_ + pos_, bytes);
+  *at = data_ + pos_;
   pos_ += bytes;
   return Status::OK();
 }

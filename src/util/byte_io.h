@@ -46,6 +46,10 @@ class ByteCursor {
   /// Reads `bytes` raw bytes into `out`.
   Status ReadBytes(void* out, size_t bytes) { return ReadRaw(out, bytes); }
 
+  /// Consumes `bytes` raw bytes without copying them; `*at` points at
+  /// them inside the underlying buffer (any alignment).
+  Status Skip(size_t bytes, const char** at);
+
   size_t Remaining() const { return size_ - pos_; }
 
  private:

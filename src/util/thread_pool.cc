@@ -37,6 +37,39 @@ void ThreadPool::Wait() {
   done_cv_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
 }
 
+void ThreadPool::RunTasks(size_t tasks,
+                          const std::function<void(size_t)>& fn) {
+  // Completion latch per call. The decrement happens under the mutex: the
+  // caller can only observe remaining == 0 after the finishing worker has
+  // released the lock, so the stack-local state cannot be destroyed under
+  // a worker.
+  size_t remaining = tasks;
+  std::mutex mu;
+  std::condition_variable done;
+  for (size_t i = 0; i < tasks; ++i) {
+    Submit([&, i] {
+      fn(i);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) done.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&remaining] { return remaining == 0; });
+}
+
+void ThreadPool::RunChunked(ThreadPool* pool, size_t n, size_t chunks,
+                            const std::function<void(size_t, size_t)>& fn) {
+  chunks = std::min(chunks, n);
+  if (pool == nullptr || chunks <= 1) {
+    fn(0, n);
+    return;
+  }
+  const size_t chunk = (n + chunks - 1) / chunks;
+  pool->RunTasks((n + chunk - 1) / chunk, [&](size_t t) {
+    fn(t * chunk, std::min(n, (t + 1) * chunk));
+  });
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

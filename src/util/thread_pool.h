@@ -31,6 +31,18 @@ class ThreadPool {
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
 
+  /// Runs fn(i) for i in [0, tasks) on the workers and blocks until those
+  /// tasks are done — only those: concurrent callers share the pool
+  /// without waiting on each other's work. `fn` must not itself block on
+  /// this pool (a worker waiting for a worker can self-deadlock).
+  void RunTasks(size_t tasks, const std::function<void(size_t)>& fn);
+
+  /// RunTasks over [0, n) split into at most `chunks` contiguous ranges,
+  /// fn(begin, end) each; runs inline on the caller when `pool` is null or
+  /// one chunk suffices.
+  static void RunChunked(ThreadPool* pool, size_t n, size_t chunks,
+                         const std::function<void(size_t, size_t)>& fn);
+
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
   /// Work is chunked so each thread gets a contiguous range.
   static void ParallelFor(size_t n, size_t num_threads,

@@ -851,6 +851,58 @@ TEST(MatchServiceTest, HealthStatsAndReloadEndpoints) {
   std::remove(path_b.c_str());
 }
 
+/// The value of an unlabeled metric on a /v1/metrics scrape; -1 when the
+/// scrape fails or the sample is missing.
+double ScrapeValue(HttpClient* client, const std::string& name) {
+  auto m = client->Get("/v1/metrics");
+  if (!m.ok() || m->status != 200) return -1.0;
+  const std::string needle = "\n" + name + " ";
+  const size_t pos = m->body.find(needle);
+  if (pos == std::string::npos) return -1.0;
+  return std::strtod(m->body.c_str() + pos + needle.size(), nullptr);
+}
+
+TEST(MatchServiceTest, IvfFromSnapshotGaugeFollowsReloadsAtFourShards) {
+  // Two snapshots over the same candidates: one without an index section
+  // (every shard trains k-means) and one carrying the global index that
+  // every shard adopts its slice of.
+  const std::string plain = WriteGeometricSnapshot("svc_ivf_plain.tds", 64, 0);
+  auto trained =
+      serve::QueryEngine::BuildForPrefix(GeometricSnapshot(64), "c");
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const std::string sectioned = TempPath("svc_ivf_section.tds");
+  serve::Snapshot src = GeometricSnapshot(64);
+  ASSERT_TRUE(serve::SnapshotIo::Write(
+                  src.table, src.meta,
+                  {{serve::QueryEngine::kIvfSectionTag,
+                    trained->SerializeIvfSection()}},
+                  sectioned)
+                  .ok());
+
+  ServiceOptions sopts;
+  sopts.shards = 4;
+  ServiceFixture fx(plain, sopts);
+  auto client = HttpClient::Connect("127.0.0.1", fx.server.port());
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(ScrapeValue(&*client, "tdmatch_shards_active"), 4.0);
+  EXPECT_EQ(ScrapeValue(&*client, "tdmatch_engine_ivf_from_snapshot"), 0.0);
+
+  for (const auto& [path, adopted] :
+       {std::pair<std::string, double>{sectioned, 1.0}, {plain, 0.0},
+        {sectioned, 1.0}}) {
+    auto r = client->Post("/v1/reload", "{\"snapshot\": \"" + path + "\"}");
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->status, 200) << r->body;
+    EXPECT_EQ(ScrapeValue(&*client, "tdmatch_engine_ivf_from_snapshot"),
+              adopted)
+        << path;
+    EXPECT_EQ(fx.service.state()->engine->ivf_from_snapshot(),
+              adopted == 1.0);
+  }
+  std::remove(plain.c_str());
+  std::remove(sectioned.c_str());
+}
+
 TEST(MatchServiceTest, MetricsExpositionTracingAndRequestIds) {
   // Snapshot carrying offline phase timers in its meta, the way
   // build-snapshot records them.

@@ -1,12 +1,14 @@
 // Tests for the scatter-gather serving stack: the consistent-hash
 // Sharder, exact-mode bit-identity of ShardedQueryEngine across shard
-// counts, the AdmissionController + NprobeTuner front-door knobs, the
-// striped LRU ResultCache, and the MatchService overload/caching behavior
-// over HTTP.
+// counts, per-shard adoption of the snapshot's global IVF section (and
+// the fallback on hostile ones), the AdmissionController + NprobeTuner
+// front-door knobs, the striped LRU ResultCache, and the MatchService
+// overload/caching behavior over HTTP.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "serve/sharder.h"
 #include "serve/snapshot.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace tdmatch {
 namespace {
@@ -352,34 +355,345 @@ TEST(ShardedEngineTest, MoreShardsThanCandidatesCompactsEmptyOnes) {
 }
 
 TEST(ShardedEngineTest, ApproxIsDeterministicAndFullProbeRecoversExact) {
+  // No index section: every shard trains k-means over its own slice.
   const size_t n = 64;
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.engine = TestEngineOptions();
-  auto a = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  auto b = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  ASSERT_TRUE(a.ok() && b.ok());
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    const std::string ctx = "shards=" + std::to_string(shards);
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.engine = TestEngineOptions();
+    auto a = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+    auto b = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+    ASSERT_TRUE(a.ok() && b.ok()) << ctx;
+    ASSERT_TRUE(a->has_ivf()) << ctx;
+    EXPECT_FALSE(a->ivf_from_snapshot()) << ctx;
+    size_t widest = 0;
+    for (size_t s = 0; s < a->active_shards(); ++s) {
+      EXPECT_FALSE(a->shard(s).ivf_from_snapshot()) << ctx;
+      widest = std::max(widest, a->shard(s).ivf_index()->nlist());
+    }
+    EXPECT_EQ(a->max_nprobe(), widest) << ctx;
 
+    std::vector<std::string> labels;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string q = "q" + std::to_string(i);
+      labels.push_back(q);
+      // Determinism: two engines built from the same inputs agree
+      // bitwise, approx mode included (per-shard k-means is seeded).
+      auto ra = a->Query(q, 5, SearchMode::kApprox);
+      auto rb = b->Query(q, 5, SearchMode::kApprox);
+      ASSERT_TRUE(ra.ok() && rb.ok());
+      ExpectSameMatches(*ra, *rb, "approx " + q + " " + ctx);
+
+      // Probing every cell degenerates to a full scan of the same vectors
+      // the exact index scores: the whole top-k, scores included, must be
+      // the exact answer bit for bit.
+      auto probe_all = a->Query(q, 5, SearchMode::kApprox, a->max_nprobe());
+      auto exact = a->Query(q, 5, SearchMode::kExact);
+      ASSERT_TRUE(probe_all.ok() && exact.ok());
+      ExpectSameMatches(*exact, *probe_all, "full probe " + q + " " + ctx);
+    }
+    auto batch_a = a->QueryBatch(labels, 5, SearchMode::kApprox);
+    auto batch_b = b->QueryBatch(labels, 5, SearchMode::kApprox);
+    ASSERT_EQ(batch_a.size(), labels.size());
+    for (size_t i = 0; i < labels.size(); ++i) {
+      ASSERT_TRUE(batch_a[i].ok() && batch_b[i].ok());
+      ExpectSameMatches(*batch_a[i], *batch_b[i], "batch " + labels[i]);
+      auto single = a->Query(labels[i], 5, SearchMode::kApprox);
+      ASSERT_TRUE(single.ok());
+      ExpectSameMatches(*single, *batch_a[i], "batch vs single " + labels[i]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ShardedQueryEngine: adopting the snapshot's global "ivfpq" section
+// ---------------------------------------------------------------------------
+
+/// Clustered candidates c<i> in `dim` dimensions; query q<i> is a
+/// perturbed copy of candidate c<(7 * i) mod n>.
+serve::Snapshot ClusteredSnapshot(size_t n, int dim, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> anchors(12);
+  for (auto& a : anchors) {
+    for (int d = 0; d < dim; ++d) {
+      a.push_back(static_cast<float>(rng.Gaussian()));
+    }
+  }
+  serve::Snapshot snap;
+  snap.meta.scenario = "shard-clusters";
+  snap.table = embed::EmbeddingTable(dim);
+  std::vector<std::vector<float>> cand(n);
   for (size_t i = 0; i < n; ++i) {
-    const std::string q = "q" + std::to_string(i);
-    // Determinism: two engines built from the same inputs agree bitwise,
-    // approx mode included (per-shard k-means is seeded).
-    auto ra = a->Query(q, 5, SearchMode::kApprox);
-    auto rb = b->Query(q, 5, SearchMode::kApprox);
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    ExpectSameMatches(*ra, *rb, "approx " + q);
+    const auto& a = anchors[rng.UniformInt(anchors.size())];
+    for (int d = 0; d < dim; ++d) {
+      cand[i].push_back(a[static_cast<size_t>(d)] +
+                        0.4f * static_cast<float>(rng.Gaussian()));
+    }
+    snap.table.Put("c" + std::to_string(i), cand[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<float> q = cand[(7 * i) % n];
+    for (float& x : q) x += 0.2f * static_cast<float>(rng.Gaussian());
+    snap.table.Put("q" + std::to_string(i), std::move(q));
+  }
+  return snap;
+}
 
-    // Probing every cell degenerates to a full scan: the top-1 must be
-    // the candidate the query sits on, exactly as in exact mode. (Approx
-    // results are NOT bit-identical across shard counts — per-shard
-    // k-means sees different slices — so the contract tested here is
-    // determinism + recall, not cross-N identity.)
-    const size_t full = a->max_nprobe();
-    auto probe_all = a->Query(q, 1, SearchMode::kApprox, full);
-    auto exact = a->Query(q, 1, SearchMode::kExact);
-    ASSERT_TRUE(probe_all.ok() && exact.ok());
-    ASSERT_EQ(probe_all->size(), 1u);
-    EXPECT_EQ((*probe_all)[0].label, (*exact)[0].label) << q;
+/// Trains the unsharded IVF index over the "c" candidates of `snap` and
+/// returns its serialized "ivfpq" section.
+std::string GlobalSection(serve::Snapshot snap,
+                          const QueryEngineOptions& opts) {
+  auto engine = QueryEngine::BuildForPrefix(std::move(snap), "c", opts);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return engine.ok() ? engine->SerializeIvfSection() : std::string();
+}
+
+std::string WriteWithSection(const std::string& name,
+                             const serve::Snapshot& snap,
+                             const std::string& section) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(serve::SnapshotIo::Write(
+                  snap.table, snap.meta,
+                  {{QueryEngine::kIvfSectionTag, section}}, path)
+                  .ok());
+  return path;
+}
+
+/// The sharded engine over `path`, through the copy (Build) or the mmap
+/// (BuildFromView) path.
+util::Result<ShardedQueryEngine> BuildSharded(
+    const std::string& path, bool mmap, const ShardedEngineOptions& opts) {
+  if (mmap) {
+    TDM_ASSIGN_OR_RETURN(auto view, serve::SnapshotView::Open(path));
+    return ShardedQueryEngine::BuildFromView(std::move(view), "c", opts);
+  }
+  TDM_ASSIGN_OR_RETURN(serve::Snapshot snap, serve::SnapshotIo::Read(path));
+  return ShardedQueryEngine::Build(std::move(snap), "c", opts);
+}
+
+QueryEngineOptions SectionEngineOptions(size_t pq_m) {
+  QueryEngineOptions opts = TestEngineOptions();
+  opts.ivf.nprobe = 2;
+  opts.ivf.pq_m = pq_m;
+  opts.ivf.pq_rerank = 6;  // a short ADC shortlist, so re-rank matters
+  return opts;
+}
+
+TEST(ShardedEngineTest, AdoptedFlatSectionBitIdenticalAcrossShardCounts) {
+  const size_t n = 300;
+  const QueryEngineOptions eopts = SectionEngineOptions(0);
+  const std::string path = WriteWithSection(
+      "shard_flat_section.tds", ClusteredSnapshot(n, 8, 17),
+      GlobalSection(ClusteredSnapshot(n, 8, 17), eopts));
+  auto view = serve::SnapshotView::Open(path);
+  ASSERT_TRUE(view.ok());
+  auto reference = QueryEngine::BuildFromView(*view, "c", eopts);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->ivf_from_snapshot());
+  const size_t nlist = reference->ivf_index()->nlist();
+  ASSERT_GT(nlist, eopts.ivf.nprobe);  // approx really prunes cells
+
+  std::vector<std::string> labels;
+  for (size_t i = 0; i < n; ++i) labels.push_back("q" + std::to_string(i));
+  labels.push_back("missing-query");
+  const std::vector<std::vector<float>> vectors = {
+      {1, 0, 0, 0, 0, 0, 0, 0}, {0.5f, -1, 2, 0, 0.25f, 0, -3, 1}};
+
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (bool mmap : {false, true}) {
+      const std::string ctx = "shards=" + std::to_string(shards) +
+                              (mmap ? " view" : " copy");
+      ShardedEngineOptions opts;
+      opts.shards = shards;
+      opts.engine = eopts;
+      auto sharded = BuildSharded(path, mmap, opts);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      EXPECT_TRUE(sharded->ivf_from_snapshot()) << ctx;
+      size_t members = 0;
+      for (size_t s = 0; s < sharded->active_shards(); ++s) {
+        const QueryEngine& shard = sharded->shard(s);
+        EXPECT_TRUE(shard.ivf_from_snapshot()) << ctx << " shard " << s;
+        ASSERT_TRUE(shard.has_ivf());
+        EXPECT_EQ(shard.ivf_index()->nlist(), nlist) << ctx;
+        for (size_t c = 0; c < nlist; ++c) {
+          members += shard.ivf_index()->ListSize(c);
+        }
+      }
+      EXPECT_EQ(members, n) << ctx;  // the slices partition every list
+      EXPECT_EQ(sharded->max_nprobe(), nlist) << ctx;
+
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t nprobe : {size_t{0}, size_t{1}, size_t{4}}) {
+          auto want = reference->Query(labels[i], 5, SearchMode::kApprox,
+                                       nprobe);
+          auto got =
+              sharded->Query(labels[i], 5, SearchMode::kApprox, nprobe);
+          ASSERT_TRUE(want.ok() && got.ok());
+          ExpectSameMatches(*want, *got,
+                            labels[i] + " nprobe=" + std::to_string(nprobe) +
+                                " " + ctx);
+        }
+      }
+      for (const auto& v : vectors) {
+        auto want = reference->QueryVector(v, 7, SearchMode::kApprox);
+        auto got = sharded->QueryVector(v, 7, SearchMode::kApprox);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ExpectSameMatches(*want, *got, "vector " + ctx);
+      }
+      auto want_batch = reference->QueryBatch(labels, 5, SearchMode::kApprox);
+      auto got_batch = sharded->QueryBatch(labels, 5, SearchMode::kApprox);
+      ASSERT_EQ(want_batch.size(), got_batch.size());
+      for (size_t i = 0; i < want_batch.size(); ++i) {
+        ASSERT_EQ(want_batch[i].ok(), got_batch[i].ok()) << "slot " << i;
+        if (!want_batch[i].ok()) continue;
+        ExpectSameMatches(*want_batch[i], *got_batch[i],
+                          "batch " + labels[i] + " " + ctx);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedEngineTest, AdoptedPqSectionDeterministicRecallAtLeastUnsharded) {
+  const size_t n = 400;
+  const size_t k = 5;
+  const QueryEngineOptions eopts = SectionEngineOptions(4);
+  const std::string path = WriteWithSection(
+      "shard_pq_section.tds", ClusteredSnapshot(n, 8, 29),
+      GlobalSection(ClusteredSnapshot(n, 8, 29), eopts));
+  auto view = serve::SnapshotView::Open(path);
+  ASSERT_TRUE(view.ok());
+  auto reference = QueryEngine::BuildFromView(*view, "c", eopts);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->ivf_from_snapshot());
+  ASSERT_TRUE(reference->ivf_index()->pq_enabled());
+
+  // Recall@k of approx against exact, summed over every query.
+  auto recall_hits = [&](auto&& approx) {
+    size_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string q = "q" + std::to_string(i);
+      auto truth = reference->Query(q, k, SearchMode::kExact);
+      auto got = approx(q);
+      EXPECT_TRUE(truth.ok() && got.ok());
+      std::set<std::string> want;
+      for (const auto& m : *truth) want.insert(m.label);
+      for (const auto& m : *got) hits += want.count(m.label);
+    }
+    return hits;
+  };
+  const size_t unsharded_hits = recall_hits([&](const std::string& q) {
+    return reference->Query(q, k, SearchMode::kApprox);
+  });
+
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (bool mmap : {false, true}) {
+      const std::string ctx = "shards=" + std::to_string(shards) +
+                              (mmap ? " view" : " copy");
+      ShardedEngineOptions opts;
+      opts.shards = shards;
+      opts.engine = eopts;
+      auto a = BuildSharded(path, mmap, opts);
+      auto b = BuildSharded(path, mmap, opts);
+      ASSERT_TRUE(a.ok() && b.ok()) << ctx;
+      EXPECT_TRUE(a->ivf_from_snapshot()) << ctx;
+      for (size_t s = 0; s < a->active_shards(); ++s) {
+        EXPECT_TRUE(a->shard(s).ivf_from_snapshot()) << ctx;
+        EXPECT_TRUE(a->shard(s).ivf_index()->pq_enabled()) << ctx;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const std::string q = "q" + std::to_string(i);
+        auto ra = a->Query(q, k, SearchMode::kApprox);
+        auto rb = b->Query(q, k, SearchMode::kApprox);
+        auto want = reference->Query(q, k, SearchMode::kApprox);
+        ASSERT_TRUE(ra.ok() && rb.ok() && want.ok());
+        ExpectSameMatches(*ra, *rb, "determinism " + q + " " + ctx);
+        // Every shard re-ranks its own ADC shortlist: together a superset
+        // of the unsharded shortlist, so rank by rank the exact scores
+        // can only be as good or better.
+        ASSERT_EQ(ra->size(), want->size()) << q << " " << ctx;
+        for (size_t r = 0; r < want->size(); ++r) {
+          EXPECT_GE((*ra)[r].score, (*want)[r].score)
+              << q << " rank " << r << " " << ctx;
+        }
+      }
+      const size_t sharded_hits = recall_hits([&](const std::string& q) {
+        return a->Query(q, k, SearchMode::kApprox);
+      });
+      EXPECT_GE(sharded_hits, unsharded_hits) << ctx;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedEngineTest, HostileSectionsFallBackToPerShardTraining) {
+  const size_t n = 120;
+  const int dim = 8;
+  const QueryEngineOptions eopts = SectionEngineOptions(0);
+  const serve::Snapshot snap = ClusteredSnapshot(n, dim, 41);
+  auto trained = QueryEngine::BuildForPrefix(snap, "c", eopts);
+  ASSERT_TRUE(trained.ok());
+  const std::string good = trained->SerializeIvfSection();
+  const size_t nlist = trained->ivf_index()->nlist();
+  // Wire layout: 32-byte header, nlist x dim f32 centroids, nlist + 1 u64
+  // offsets, n i32 ids, then the list payload.
+  const size_t offsets_off = 32 + nlist * static_cast<size_t>(dim) * 4;
+  const size_t ids_off = offsets_off + (nlist + 1) * 8;
+
+  // An index over another candidate set of the same size and dim: only
+  // the fingerprint tells it apart.
+  auto foreign = QueryEngine::BuildForPrefix(snap, "q", eopts);
+  ASSERT_TRUE(foreign.ok());
+  std::string inflated = good;
+  const uint64_t big = uint64_t{1} << 40;
+  std::memcpy(&inflated[offsets_off + 8], &big, sizeof(big));
+  std::string duplicated = good;
+  std::memcpy(&duplicated[ids_off + 4], &duplicated[ids_off], 4);
+  const std::vector<std::pair<std::string, std::string>> hostile = {
+      {"foreign fingerprint", foreign->SerializeIvfSection()},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"inflated offsets", inflated},
+      {"duplicate ids", duplicated},
+  };
+
+  auto reference = QueryEngine::BuildForPrefix(snap, "c", eopts);
+  ASSERT_TRUE(reference.ok());
+  for (const auto& [what, bytes] : hostile) {
+    const std::string path =
+        WriteWithSection("shard_hostile_section.tds", snap, bytes);
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (bool mmap : {false, true}) {
+        const std::string ctx = what + " shards=" + std::to_string(shards) +
+                                (mmap ? " view" : " copy");
+        ShardedEngineOptions opts;
+        opts.shards = shards;
+        opts.engine = eopts;
+        testing::internal::CaptureStderr();
+        auto sharded = BuildSharded(path, mmap, opts);
+        const std::string log = testing::internal::GetCapturedStderr();
+        ASSERT_TRUE(sharded.ok()) << ctx << ": " << sharded.status().ToString();
+        EXPECT_TRUE(sharded->has_ivf()) << ctx;
+        EXPECT_FALSE(sharded->ivf_from_snapshot()) << ctx;
+        // One warning per build: the section is validated once, globally.
+        size_t warnings = 0;
+        for (size_t at = log.find("ignoring snapshot index section");
+             at != std::string::npos;
+             at = log.find("ignoring snapshot index section", at + 1)) {
+          ++warnings;
+        }
+        EXPECT_EQ(warnings, 1u) << ctx << "\n" << log;
+        for (size_t i = 0; i < n; i += 3) {
+          const std::string q = "q" + std::to_string(i);
+          auto want = reference->Query(q, 5, SearchMode::kExact);
+          auto got = sharded->Query(q, 5, SearchMode::kExact);
+          ASSERT_TRUE(want.ok() && got.ok());
+          ExpectSameMatches(*want, *got, q + " " + ctx);
+          EXPECT_TRUE(sharded->Query(q, 5, SearchMode::kApprox).ok());
+        }
+      }
+    }
+    std::remove(path.c_str());
   }
 }
 

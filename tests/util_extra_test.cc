@@ -234,6 +234,37 @@ TEST(ThreadPoolExtraTest, ParallelForZeroItemsIsNoop) {
   EXPECT_FALSE(called);
 }
 
+TEST(ThreadPoolExtraTest, RunChunkedCoversRangeExactlyOnce) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      for (auto& h : hits) h.store(0);
+      ThreadPool::RunChunked(p, n, 4, [&hits](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolExtraTest, ConcurrentRunTasksEachCompleteTheirOwn) {
+  // Two callers share one pool; each returns only after all of its own
+  // tasks ran, while the other caller's tasks are queued beside them.
+  ThreadPool pool(2);
+  std::atomic<int> a{0}, b{0};
+  std::thread other([&] {
+    pool.RunTasks(50, [&b](size_t) { b.fetch_add(1); });
+    EXPECT_EQ(b.load(), 50);
+  });
+  pool.RunTasks(50, [&a](size_t) { a.fetch_add(1); });
+  EXPECT_EQ(a.load(), 50);
+  other.join();
+  EXPECT_EQ(b.load(), 50);
+}
+
 }  // namespace
 }  // namespace util
 }  // namespace tdmatch

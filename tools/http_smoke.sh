@@ -11,8 +11,9 @@
 #              SIGTERM that must drain and exit 0 (the build-and-test leg).
 #   sanitized  the lighter tour the ASan/UBSan job runs (longer healthz
 #              budget: sanitized startup is slow).
-#   sharded    two servers, one unsharded and one --shards 4: exact-mode
-#              responses must be byte-identical; then a flood against
+#   sharded    two servers, one unsharded and one --shards 4: exact- and
+#              approx-mode responses must be byte-identical (both adopt
+#              the snapshot's flat ivfpq section); then a flood against
 #              --max-inflight 2 must produce at least one 429 with a
 #              well-formed Retry-After while /v1/healthz stays green and
 #              the /v1/stats shed counter advances.
@@ -188,15 +189,19 @@ case "$mode" in
     wait_healthy "$plain_port" 50
     wait_healthy "$shard_port" 50
 
-    # Exact-mode bit-identity from outside the process: the sharded
-    # scatter-gather must render byte-identical bodies (same matches,
-    # same %.17g score spellings) for every query.
-    for label in "q:0" "q:1" "q:2" "q:3"; do
-      body="{\"label\": \"$label\", \"k\": 5, \"mode\": \"exact\"}"
-      post "$plain_port" "$body" > "$tmp_dir/plain.json"
-      post "$shard_port" "$body" > "$tmp_dir/shard.json"
-      cmp "$tmp_dir/plain.json" "$tmp_dir/shard.json" \
-        || fail "sharded response for $label differs from unsharded"
+    # Bit-identity from outside the process: the sharded scatter-gather
+    # must render byte-identical bodies (same matches, same %.17g score
+    # spellings) for every query. Exact mode holds for any snapshot;
+    # approx mode holds because every shard adopts its slice of the
+    # snapshot's flat ivfpq section and probes the unsharded cells.
+    for search_mode in exact approx; do
+      for label in "q:0" "q:1" "q:2" "q:3"; do
+        body="{\"label\": \"$label\", \"k\": 5, \"mode\": \"$search_mode\"}"
+        post "$plain_port" "$body" > "$tmp_dir/plain.json"
+        post "$shard_port" "$body" > "$tmp_dir/shard.json"
+        cmp "$tmp_dir/plain.json" "$tmp_dir/shard.json" \
+          || fail "sharded $search_mode response for $label differs from unsharded"
+      done
     done
 
     # Overload: flood past --max-inflight 2 with a debug delay holding

@@ -25,6 +25,7 @@
 #include "serve/http/client.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
+#include "serve/mmap_snapshot.h"
 #include "serve/result_cache.h"
 #include "serve/sharded_engine.h"
 #include "serve/snapshot.h"
@@ -66,17 +67,25 @@ std::vector<std::vector<float>> MakeClusteredVectors(size_t n, int dim,
   return out;
 }
 
-serve::Snapshot MakeSnapshot(size_t n, int dim, uint64_t seed) {
+/// Writes the clustered snapshot to `name` under $TMPDIR (default /tmp)
+/// and returns its path.
+std::string WriteSnapshot(const char* name, size_t n, int dim,
+                          uint64_t seed) {
   util::Rng rng(seed);
   const auto vectors = MakeClusteredVectors(n, dim, 64, &rng);
-  serve::Snapshot snap;
-  snap.meta.scenario = "ShardScaling";
-  snap.meta.Set("candidate_prefix", "v");
-  snap.table = embed::EmbeddingTable(dim);
+  serve::SnapshotMeta meta;
+  meta.scenario = "ShardScaling";
+  meta.Set("candidate_prefix", "v");
+  embed::EmbeddingTable table(dim);
   for (size_t i = 0; i < n; ++i) {
-    snap.table.Put("v" + std::to_string(i), vectors[i]);
+    table.Put("v" + std::to_string(i), vectors[i]);
   }
-  return snap;
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path =
+      std::string(tmp != nullptr ? tmp : "/tmp") + "/" + name;
+  const util::Status st = serve::SnapshotIo::Write(table, meta, path);
+  TDM_CHECK(st.ok()) << st.ToString();
+  return path;
 }
 
 // ---------------------------------------------------------------------------
@@ -109,14 +118,19 @@ void RunShardScaling(bench::BenchReporter& rep,
   rep.Printf("%-10s %-12s %-10s %-10s %-10s %-9s\n", "shards",
              "build_s", "qps", "p50_ms", "p99_ms", "identity");
 
-  // The unsharded reference every shard count must reproduce bit-exactly
-  // in exact mode.
+  // One written and mapped snapshot feeds the unsharded reference — which
+  // every shard count must reproduce bit-exactly in exact mode — and every
+  // per-N engine.
+  const std::string path =
+      WriteSnapshot("serve_shard_scaling.tds", n, dim, seed);
+  auto view = serve::SnapshotView::Open(path);
+  TDM_CHECK(view.ok()) << view.status().ToString();
+  std::remove(path.c_str());  // the mapping keeps the file alive
   serve::ShardedEngineOptions ref_opts;
   ref_opts.shards = 1;
   ref_opts.engine.ivf.seed = seed;
   auto reference =
-      serve::ShardedQueryEngine::Build(MakeSnapshot(n, dim, seed), "v",
-                                       ref_opts);
+      serve::ShardedQueryEngine::BuildFromView(*view, "v", ref_opts);
   TDM_CHECK(reference.ok()) << reference.status().ToString();
 
   util::Rng pick(seed + 17);
@@ -131,8 +145,7 @@ void RunShardScaling(bench::BenchReporter& rep,
     sopts.shards = shards;
     sopts.engine.ivf.seed = seed;
     util::StopWatch watch;
-    auto engine = serve::ShardedQueryEngine::Build(
-        MakeSnapshot(n, dim, seed), "v", sopts);
+    auto engine = serve::ShardedQueryEngine::BuildFromView(*view, "v", sopts);
     TDM_CHECK(engine.ok()) << engine.status().ToString();
     const double build_seconds = watch.ElapsedSeconds();
 
@@ -208,16 +221,8 @@ void RunOverload(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   const int dim = 32;
   const uint64_t seed = opts.seed == 0 ? 7 : opts.seed;
 
-  std::string path = "serve_shard_bench.tds";
-  if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr) {
-    path = std::string(tmp) + "/" + path;
-  } else {
-    path = "/tmp/" + path;
-  }
-  {
-    serve::Snapshot snap = MakeSnapshot(n, dim, seed);
-    TDM_CHECK(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
-  }
+  const std::string path =
+      WriteSnapshot("serve_shard_bench.tds", n, dim, seed);
 
   // A 1 ms debug delay per admitted query gives the server a real
   // capacity ceiling (~threads kqps) that loopback clients can actually

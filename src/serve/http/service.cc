@@ -284,34 +284,20 @@ util::Result<std::shared_ptr<const EngineState>> MatchService::BuildState(
   auto state = std::make_shared<EngineState>();
   state->version = version;
   state->snapshot_path = path;
-  state->mmap = options_.use_mmap;
   ShardedEngineOptions sharded;
   sharded.shards = options_.shards;
   sharded.engine = options_.engine;
-  if (options_.use_mmap) {
-    TDM_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotView> view,
-                         SnapshotView::Open(path));
-    std::string prefix = view->meta().Find("candidate_prefix");
-    if (prefix.empty()) prefix = "__D1:";
-    state->snapshot_format = view->sections().empty()
-                                 ? SnapshotIo::kVersion
-                                 : SnapshotIo::kVersionSections;
-    TDM_ASSIGN_OR_RETURN(
-        ShardedQueryEngine engine,
-        ShardedQueryEngine::BuildFromView(std::move(view), prefix, sharded));
-    state->engine = std::make_shared<ShardedQueryEngine>(std::move(engine));
-  } else {
-    TDM_ASSIGN_OR_RETURN(Snapshot snap, SnapshotIo::Read(path));
-    std::string prefix = snap.meta.Find("candidate_prefix");
-    if (prefix.empty()) prefix = "__D1:";
-    state->snapshot_format = snap.sections.empty()
-                                 ? SnapshotIo::kVersion
-                                 : SnapshotIo::kVersionSections;
-    TDM_ASSIGN_OR_RETURN(
-        ShardedQueryEngine engine,
-        ShardedQueryEngine::Build(std::move(snap), prefix, sharded));
-    state->engine = std::make_shared<ShardedQueryEngine>(std::move(engine));
-  }
+  TDM_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotView> view,
+                       SnapshotView::Open(path));
+  std::string prefix = view->meta().Find("candidate_prefix");
+  if (prefix.empty()) prefix = "__D1:";
+  state->snapshot_format = view->sections().empty()
+                               ? SnapshotIo::kVersion
+                               : SnapshotIo::kVersionSections;
+  TDM_ASSIGN_OR_RETURN(
+      ShardedQueryEngine engine,
+      ShardedQueryEngine::BuildFromView(std::move(view), prefix, sharded));
+  state->engine = std::make_shared<ShardedQueryEngine>(std::move(engine));
   state->load_seconds = watch.ElapsedSeconds();
   return std::shared_ptr<const EngineState>(std::move(state));
 }
@@ -976,7 +962,7 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       .Key("snapshot_version").Value(state->version)
       .Key("snapshot_path").Value(state->snapshot_path)
       .Key("scenario").Value(engine.meta().scenario)
-      .Key("snapshot_loader").Value(state->mmap ? "mmap" : "copy")
+      .Key("snapshot_loader").Value("mmap")
       .Key("load_seconds").Value(state->load_seconds)
       .Key("candidates").Value(static_cast<uint64_t>(
           engine.num_candidates()))

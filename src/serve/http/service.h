@@ -27,12 +27,12 @@ namespace tdmatch {
 namespace serve {
 namespace http {
 
-/// One immutable serving epoch: a built engine plus the identity of the
-/// snapshot it came from. Swapped wholesale on reload.
+/// One immutable serving epoch: an engine built over the mapped snapshot
+/// (SnapshotView) plus the identity of that snapshot. Swapped wholesale
+/// on reload.
 struct EngineState {
   uint64_t version = 0;
   std::string snapshot_path;
-  bool mmap = false;
   double load_seconds = 0.0;
   /// On-disk format version of the loaded snapshot (1 = plain, 2 = with
   /// sections), surfaced in build_info.
@@ -42,9 +42,6 @@ struct EngineState {
 
 struct ServiceOptions {
   QueryEngineOptions engine;
-  /// Load snapshots through the zero-copy mmap view (SnapshotView) rather
-  /// than the copying loader.
-  bool use_mmap = true;
   /// Expose POST /v1/reload. Off ⇒ the route is not registered at all.
   bool allow_reload = true;
   /// Per-request cap on batch "labels" length.

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -11,79 +12,78 @@ namespace serve {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'D', 'M', 'S'};
-constexpr uint32_t kEndianMarker = 0x01020304u;
-constexpr size_t kHeaderBytes = 12;
-constexpr size_t kFooterBytes = 4;
+using Cursor = util::ByteCursor;
 
-/// Bounds-checked sequential reader over the mapped body. Unlike the
-/// copying loader's cursor it never materializes bytes: strings come back
-/// as views into the mapping.
-class ViewCursor {
- public:
-  ViewCursor(const char* data, size_t size) : data_(data), size_(size) {}
+/// A u32 length prefix + that many bytes, as a view into the mapping.
+util::Status ReadStringView(Cursor* cur, std::string_view* s) {
+  uint32_t len = 0;
+  TDM_RETURN_NOT_OK(cur->ReadU32(&len));
+  const char* at = nullptr;
+  TDM_RETURN_NOT_OK(cur->Skip(len, &at));
+  *s = std::string_view(at, len);
+  return util::Status::OK();
+}
 
-  util::Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  util::Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-
-  util::Status ReadStringView(std::string_view* s) {
-    uint32_t len = 0;
-    TDM_RETURN_NOT_OK(ReadU32(&len));
-    if (len > Remaining()) {
-      return util::Status::IOError(util::StrFormat(
-          "snapshot truncated: string of %u bytes with %zu bytes left", len,
-          Remaining()));
-    }
-    *s = std::string_view(data_ + pos_, len);
-    pos_ += len;
-    return util::Status::OK();
+/// Validates a declared (dim, vector count) geometry against the bytes
+/// actually available, in overflow-checked 64-bit arithmetic: hostile
+/// headers — absurd counts, dims beyond int range, payload sizes that
+/// would wrap 32-bit math — are rejected before any allocation or pointer
+/// arithmetic uses them.
+util::Status ValidateGeometry(const std::string& path, uint32_t dim,
+                              uint64_t count, size_t remaining) {
+  if (dim == 0 && count > 0) {
+    return util::Status::InvalidArgument(path + ": zero dim with vectors");
   }
-
-  /// `bytes` raw bytes as a view into the mapping.
-  util::Status ReadView(size_t bytes, std::string_view* s) {
-    TDM_RETURN_NOT_OK(Skip(bytes));
-    *s = std::string_view(data_ + pos_ - bytes, bytes);
-    return util::Status::OK();
+  if (dim > static_cast<uint32_t>(INT32_MAX)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: declared dim %u exceeds the supported maximum", path.c_str(),
+        dim));
   }
-
-  util::Status Skip(size_t bytes) {
-    if (bytes > Remaining()) {
-      return util::Status::IOError(util::StrFormat(
-          "snapshot truncated: need %zu bytes, %zu left", bytes,
-          Remaining()));
-    }
-    pos_ += bytes;
-    return util::Status::OK();
+  // A hostile header can declare a geometry whose payload byte count
+  // rows * dim * sizeof(float) wraps narrower arithmetic (already at
+  // rows * dim >= 2^30 for 32-bit math). Do the multiplication once in
+  // overflow-checked 64-bit math and reject explicitly, so no later size
+  // computation — allocation, cursor advance, span construction — ever
+  // sees a wrapped value.
+  const uint64_t row_bytes = static_cast<uint64_t>(dim) * sizeof(float);
+  if (row_bytes > 0 && count > UINT64_MAX / row_bytes) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: payload size of %llu vectors x %u dims overflows 64-bit byte "
+        "arithmetic",
+        path.c_str(), static_cast<unsigned long long>(count), dim));
   }
-
-  size_t Remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-
- private:
-  util::Status ReadRaw(void* out, size_t bytes) {
-    TDM_RETURN_NOT_OK(Skip(bytes));
-    std::memcpy(out, data_ + pos_ - bytes, bytes);
-    return util::Status::OK();
+  // A valid CRC proves the bytes are intact, not that the writer was
+  // SnapshotIo — validate declared counts against the bytes actually
+  // present before sizing any allocation from them (every entry needs at
+  // least a 4-byte label length plus its dim floats).
+  const uint64_t min_entry_bytes = sizeof(uint32_t) + row_bytes;
+  if (count > remaining / min_entry_bytes) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: declared %llu vectors cannot fit in %zu remaining bytes",
+        path.c_str(), static_cast<unsigned long long>(count), remaining));
   }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+  if (count > UINT32_MAX) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: %llu vectors exceed the label index capacity", path.c_str(),
+        static_cast<unsigned long long>(count)));
+  }
+  return util::Status::OK();
+}
 
 }  // namespace
 
 util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
     const std::string& path, bool verify_crc) {
   TDM_ASSIGN_OR_RETURN(util::MmapFile file, util::MmapFile::Open(path));
-  if (file.size() < kHeaderBytes + kFooterBytes) {
+  if (file.size() < SnapshotIo::kHeaderBytes + SnapshotIo::kFooterBytes) {
     return util::Status::IOError(util::StrFormat(
         "%s: not a snapshot (%zu bytes, smaller than header + CRC)",
         path.c_str(), file.size()));
   }
   const char* data = file.data();
 
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(data, SnapshotIo::kMagic, sizeof(SnapshotIo::kMagic)) !=
+      0) {
     return util::Status::InvalidArgument(
         path + ": bad magic (not a TDmatch snapshot)");
   }
@@ -91,11 +91,11 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
   uint32_t endian = 0;
   std::memcpy(&version, data + 4, sizeof(version));
   std::memcpy(&endian, data + 8, sizeof(endian));
-  if (endian != kEndianMarker) {
+  if (endian != SnapshotIo::kEndianMarker) {
     return util::Status::InvalidArgument(util::StrFormat(
         "%s: endianness marker 0x%08x != 0x%08x — snapshot was written on a "
         "machine with different byte order",
-        path.c_str(), endian, kEndianMarker));
+        path.c_str(), endian, SnapshotIo::kEndianMarker));
   }
   if (version != SnapshotIo::kVersion &&
       version != SnapshotIo::kVersionSections) {
@@ -104,10 +104,11 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
         version, SnapshotIo::kVersion, SnapshotIo::kVersionSections));
   }
 
-  const char* body = data + kHeaderBytes;
-  const size_t body_size = file.size() - kHeaderBytes - kFooterBytes;
+  const char* body = data + SnapshotIo::kHeaderBytes;
+  const size_t body_size =
+      file.size() - SnapshotIo::kHeaderBytes - SnapshotIo::kFooterBytes;
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data + file.size() - kFooterBytes,
+  std::memcpy(&stored_crc, data + file.size() - SnapshotIo::kFooterBytes,
               sizeof(stored_crc));
   if (verify_crc) {
     const uint32_t actual_crc = util::Crc32(body, body_size);
@@ -119,23 +120,17 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
     }
   }
 
-  ViewCursor cur(body, body_size);
+  Cursor cur(body, body_size);
   uint32_t dim = 0;
   uint64_t count = 0;
   TDM_RETURN_NOT_OK(cur.ReadU32(&dim));
   TDM_RETURN_NOT_OK(cur.ReadU64(&count));
-  TDM_RETURN_NOT_OK(ValidateSnapshotGeometry(path, dim, count,
-                                             cur.Remaining()));
-  if (count > UINT32_MAX) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: %llu vectors exceed the label index capacity", path.c_str(),
-        static_cast<unsigned long long>(count)));
-  }
+  TDM_RETURN_NOT_OK(ValidateGeometry(path, dim, count, cur.Remaining()));
 
   auto view = std::shared_ptr<SnapshotView>(new SnapshotView());
   view->dim_ = dim;
   std::string_view scenario;
-  TDM_RETURN_NOT_OK(cur.ReadStringView(&scenario));
+  TDM_RETURN_NOT_OK(ReadStringView(&cur, &scenario));
   view->meta_.scenario = std::string(scenario);
   uint32_t num_extra = 0;
   TDM_RETURN_NOT_OK(cur.ReadU32(&num_extra));
@@ -146,8 +141,8 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
   }
   for (uint32_t i = 0; i < num_extra; ++i) {
     std::string_view key, value;
-    TDM_RETURN_NOT_OK(cur.ReadStringView(&key));
-    TDM_RETURN_NOT_OK(cur.ReadStringView(&value));
+    TDM_RETURN_NOT_OK(ReadStringView(&cur, &key));
+    TDM_RETURN_NOT_OK(ReadStringView(&cur, &value));
     if (key == SnapshotIo::kPadKey) continue;  // writer-internal alignment
     view->meta_.extra.emplace_back(std::string(key), std::string(value));
   }
@@ -155,7 +150,7 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
   view->labels_.resize(count);
   view->index_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    TDM_RETURN_NOT_OK(cur.ReadStringView(&view->labels_[i]));
+    TDM_RETURN_NOT_OK(ReadStringView(&cur, &view->labels_[i]));
     const bool inserted =
         view->index_.emplace(view->labels_[i], static_cast<uint32_t>(i))
             .second;
@@ -174,10 +169,10 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
         path.c_str(), static_cast<unsigned long long>(payload_bytes),
         cur.Remaining()));
   }
-  view->payload_ = body + cur.pos();
+  TDM_RETURN_NOT_OK(
+      cur.Skip(static_cast<size_t>(payload_bytes), &view->payload_));
   view->aligned_ =
       reinterpret_cast<uintptr_t>(view->payload_) % alignof(float) == 0;
-  TDM_RETURN_NOT_OK(cur.Skip(static_cast<size_t>(payload_bytes)));
 
   if (version >= SnapshotIo::kVersionSections) {
     uint32_t num_sections = 0;
@@ -191,7 +186,7 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
     view->sections_.reserve(num_sections);
     for (uint32_t i = 0; i < num_sections; ++i) {
       std::string_view tag;
-      TDM_RETURN_NOT_OK(cur.ReadStringView(&tag));
+      TDM_RETURN_NOT_OK(ReadStringView(&cur, &tag));
       uint64_t len = 0;
       TDM_RETURN_NOT_OK(cur.ReadU64(&len));
       if (len > cur.Remaining()) {
@@ -200,9 +195,10 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
             path.c_str(), std::string(tag).c_str(),
             static_cast<unsigned long long>(len), cur.Remaining()));
       }
-      std::string_view bytes;
-      TDM_RETURN_NOT_OK(cur.ReadView(static_cast<size_t>(len), &bytes));
-      view->sections_.emplace_back(tag, bytes);
+      const char* at = nullptr;
+      TDM_RETURN_NOT_OK(cur.Skip(static_cast<size_t>(len), &at));
+      view->sections_.emplace_back(
+          tag, std::string_view(at, static_cast<size_t>(len)));
     }
   }
 

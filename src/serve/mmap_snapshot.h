@@ -16,17 +16,19 @@
 namespace tdmatch {
 namespace serve {
 
-/// \brief Zero-copy view over a memory-mapped snapshot file.
+/// \brief Zero-copy view over a memory-mapped snapshot file — the one
+/// parser of the on-disk format SnapshotIo writes.
 ///
-/// Reads the exact on-disk format SnapshotIo writes, but in place: Open
-/// mmaps the file, validates the header, geometry, and trailing CRC-32
-/// (same rejection matrix as the copying loader — bad magic, version skew,
-/// foreign endianness, truncation, corruption, hostile declared counts,
-/// payload sizes that overflow narrow arithmetic), indexes the labels as
+/// Open mmaps the file, validates the header, geometry, and trailing
+/// CRC-32 (bad magic, version skew, foreign endianness, truncation,
+/// corruption, hostile declared counts, payload sizes that overflow
+/// narrow arithmetic, duplicate labels), indexes the labels as
 /// string_views into the mapping, and exposes the f32 payload without
 /// copying a single vector. Load cost is the CRC scan plus the label
 /// index; the payload itself is demand-paged, and several QueryEngines
-/// can share one mapping through the shared_ptr returned by Open.
+/// can share one mapping through the shared_ptr returned by Open. Every
+/// serving engine is built from a view; SnapshotIo::Read copies one into
+/// an in-memory Snapshot for the offline tools.
 ///
 /// The view is immutable and safe for concurrent readers. Pointers and
 /// string_views obtained from it are valid exactly as long as the view is

@@ -21,39 +21,32 @@ uint32_t QueryEngine::CandidateLabelsCrc(
   return crc;
 }
 
-std::string_view QueryEngine::IvfSectionBytes(const Snapshot& snapshot,
-                                              const SnapshotView* view) {
-  if (const std::string* s = snapshot.Section(kIvfSectionTag)) return *s;
-  if (view == nullptr) return {};
-  const std::string_view* s = view->Section(kIvfSectionTag);
-  return s != nullptr ? *s : std::string_view();
-}
-
 std::string QueryEngine::SerializeIvfSection() const {
   if (ivf_ == nullptr) return {};
   return ivf_->Serialize(candidate_labels_crc());
 }
 
-util::Result<QueryEngine> QueryEngine::Build(
-    Snapshot snapshot, std::vector<std::string> candidates,
+util::Result<QueryEngine> QueryEngine::BuildForPrefix(
+    Snapshot snapshot, const std::string& prefix,
     QueryEngineOptions options) {
-  std::vector<const std::vector<float>*> rows;
-  rows.reserve(candidates.size());
-  for (const auto& label : candidates) {
-    const std::vector<float>* vec = snapshot.table.Get(label);
-    if (vec == nullptr) {
-      return util::Status::NotFound(util::StrFormat(
-          "candidate '%s' has no vector in snapshot '%s'", label.c_str(),
-          snapshot.meta.scenario.c_str()));
-    }
-    rows.push_back(vec);
-  }
   QueryEngine engine;
+  std::vector<const std::vector<float>*> rows;
+  for (auto& label : snapshot.table.Labels()) {
+    if (!util::StartsWith(label, prefix)) continue;
+    rows.push_back(snapshot.table.Get(label));
+    engine.candidate_labels_.push_back(std::move(label));
+  }
+  if (rows.empty()) {
+    return util::Status::NotFound(util::StrFormat(
+        "snapshot '%s' has no labels with candidate prefix '%s'",
+        snapshot.meta.scenario.c_str(), prefix.c_str()));
+  }
   engine.matrix_ = std::make_shared<VectorMatrix>(
       VectorMatrix::FromRows(rows, snapshot.table.dim()));
   engine.snapshot_ = std::move(snapshot);
-  engine.candidate_labels_ = std::move(candidates);
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
+  const std::string* section = engine.snapshot_.Section(kIvfSectionTag);
+  TDM_RETURN_NOT_OK(engine.FinishBuild(
+      options, section != nullptr ? *section : std::string_view()));
   return engine;
 }
 
@@ -83,8 +76,10 @@ util::Result<QueryEngine> QueryEngine::BuildFromView(
       view->payload(), candidate_rows, view->dim()));
   engine.snapshot_.meta = view->meta();
   engine.snapshot_.table = embed::EmbeddingTable(view->dim());
+  const std::string_view* section = view->Section(kIvfSectionTag);
   engine.view_ = std::move(view);
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
+  TDM_RETURN_NOT_OK(engine.FinishBuild(
+      options, section != nullptr ? *section : std::string_view()));
   return engine;
 }
 
@@ -105,11 +100,12 @@ util::Result<QueryEngine> QueryEngine::BuildOverMatrix(
   engine.candidate_labels_ = std::move(candidate_labels);
   engine.snapshot_.meta = std::move(meta);
   engine.snapshot_.table = embed::EmbeddingTable(engine.matrix_->dim());
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options, std::move(ivf)));
+  TDM_RETURN_NOT_OK(engine.FinishBuild(options, {}, std::move(ivf)));
   return engine;
 }
 
 util::Status QueryEngine::FinishBuild(QueryEngineOptions options,
+                                      std::string_view section,
                                       std::unique_ptr<IvfIndex> adopted) {
   if (candidate_labels_.empty()) {
     return util::Status::InvalidArgument("candidate set is empty");
@@ -134,18 +130,15 @@ util::Status QueryEngine::FinishBuild(QueryEngineOptions options,
     // fingerprint and geometry are validated against what this engine
     // actually resolved — on any mismatch we train instead (slower, never
     // wrong).
-    if (ivf_ == nullptr && options.use_snapshot_index) {
-      const std::string_view bytes = IvfSectionBytes(snapshot_, view_.get());
-      if (!bytes.empty()) {
-        auto loaded = IvfIndex::Deserialize(bytes, matrix_,
-                                            candidate_labels_crc(), ivf);
-        if (loaded.ok()) {
-          ivf_ = std::move(loaded).ValueOrDie();
-          ivf_from_snapshot_ = true;
-        } else {
-          TDM_LOG(Warning) << "ignoring snapshot index section: "
-                           << loaded.status().ToString();
-        }
+    if (ivf_ == nullptr && options.use_snapshot_index && !section.empty()) {
+      auto loaded = IvfIndex::Deserialize(section, matrix_,
+                                          candidate_labels_crc(), ivf);
+      if (loaded.ok()) {
+        ivf_ = std::move(loaded).ValueOrDie();
+        ivf_from_snapshot_ = true;
+      } else {
+        TDM_LOG(Warning) << "ignoring snapshot index section: "
+                         << loaded.status().ToString();
       }
     }
     if (ivf_ == nullptr) ivf_ = std::make_unique<IvfIndex>(matrix_, ivf);
@@ -154,23 +147,6 @@ util::Status QueryEngine::FinishBuild(QueryEngineOptions options,
     pool_ = std::make_unique<util::ThreadPool>(options.threads);
   }
   return util::Status::OK();
-}
-
-util::Result<QueryEngine> QueryEngine::BuildForPrefix(
-    Snapshot snapshot, const std::string& prefix,
-    QueryEngineOptions options) {
-  std::vector<std::string> candidates;
-  for (auto& label : snapshot.table.Labels()) {
-    if (util::StartsWith(label, prefix)) {
-      candidates.push_back(std::move(label));
-    }
-  }
-  if (candidates.empty()) {
-    return util::Status::NotFound(util::StrFormat(
-        "snapshot '%s' has no labels with candidate prefix '%s'",
-        snapshot.meta.scenario.c_str(), prefix.c_str()));
-  }
-  return Build(std::move(snapshot), std::move(candidates), options);
 }
 
 const Index& QueryEngine::IndexFor(SearchMode mode) const {

@@ -66,26 +66,24 @@ struct ScoredMatch {
 /// its own completion.
 class QueryEngine {
  public:
-  /// Builds the engine over an explicit candidate subset. Labels missing
-  /// from the snapshot table or duplicated are an error.
-  static util::Result<QueryEngine> Build(Snapshot snapshot,
-                                         std::vector<std::string> candidates,
-                                         QueryEngineOptions options = {});
-
-  /// Convenience: candidates are all snapshot labels starting with
-  /// `prefix`, in snapshot order (the serving convention stores the
-  /// candidate prefix in the snapshot metadata under "candidate_prefix").
+  /// Builds over an in-memory snapshot: candidates are all table labels
+  /// starting with `prefix`, in table order (the serving convention
+  /// stores the candidate prefix in the snapshot metadata under
+  /// "candidate_prefix"). The engine keeps the table (see table()) — the
+  /// offline path, where a builder indexes a freshly trained table before
+  /// any snapshot file exists and writes table() out with the section.
   static util::Result<QueryEngine> BuildForPrefix(
       Snapshot snapshot, const std::string& prefix,
       QueryEngineOptions options = {});
 
-  /// Builds over a memory-mapped snapshot view instead of a loaded
-  /// Snapshot: candidate vectors are gathered straight from the mapped f32
+  /// Builds over a memory-mapped snapshot view — the serving path:
+  /// candidates are the view labels starting with `prefix`, in file
+  /// order; their vectors are gathered straight from the mapped f32
   /// payload into the (normalizing) index matrix, label lookups resolve
   /// against the mapping, and no EmbeddingTable copy of the payload is
-  /// ever materialized — the mmap serving path. The engine shares
-  /// ownership of the view; several engines can serve one mapping.
-  /// Results are bit-identical to the copying Build over the same file.
+  /// ever materialized. The engine shares ownership of the view; several
+  /// engines can serve one mapping. Results are bit-identical to
+  /// BuildForPrefix over the same file's rows.
   static util::Result<QueryEngine> BuildFromView(
       std::shared_ptr<const SnapshotView> view, const std::string& prefix,
       QueryEngineOptions options = {});
@@ -143,11 +141,10 @@ class QueryEngine {
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
 
   const SnapshotMeta& meta() const { return snapshot_.meta; }
-  /// The loaded embedding table. Empty (dim only) for view-backed engines,
-  /// whose vectors live in the mapping — see view().
+  /// The table BuildForPrefix was given. Empty (dim only) for engines
+  /// built from a view, whose vectors live in the mapping, or over a
+  /// matrix.
   const embed::EmbeddingTable& table() const { return snapshot_.table; }
-  /// Non-null when built via BuildFromView.
-  const std::shared_ptr<const SnapshotView>& view() const { return view_; }
   size_t num_candidates() const { return candidate_labels_.size(); }
   const std::vector<std::string>& candidate_labels() const {
     return candidate_labels_;
@@ -170,11 +167,6 @@ class QueryEngine {
   }
   /// The same fingerprint over any label list in candidate-id order.
   static uint32_t CandidateLabelsCrc(const std::vector<std::string>& labels);
-  /// The "ivfpq" section of a loaded snapshot or, failing that, of a
-  /// mapped view (may be null); empty when there is none.
-  static std::string_view IvfSectionBytes(const Snapshot& snapshot,
-                                          const SnapshotView* view);
-
   /// True when the IVF index was adopted from a snapshot "ivfpq" section
   /// rather than trained at build time.
   bool ivf_from_snapshot() const { return ivf_from_snapshot_; }
@@ -195,10 +187,12 @@ class QueryEngine {
   /// number of distinct candidates allowed.
   size_t BuildMask(const std::vector<std::string>& allowed,
                    std::vector<char>* mask) const;
-  /// Builds the exact index over matrix_, adopts `ivf` or the snapshot's
-  /// "ivfpq" section or trains the IVF index, and starts the batch pool —
-  /// the tail shared by every Build flavor.
+  /// Builds the exact index over matrix_, adopts `ivf`, or else the
+  /// snapshot's "ivfpq" `section` (when non-empty and valid), or else
+  /// trains the IVF index, and starts the batch pool — the tail shared by
+  /// every Build flavor.
   util::Status FinishBuild(QueryEngineOptions options,
+                           std::string_view section,
                            std::unique_ptr<IvfIndex> ivf = nullptr);
   /// The embedding stored under `label`: a pointer into the table or the
   /// mapped view (copy-free on both hot paths; `scratch` is only written

@@ -1,7 +1,6 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -12,28 +11,6 @@
 
 namespace tdmatch {
 namespace serve {
-
-util::Result<ShardedQueryEngine> ShardedQueryEngine::Build(
-    Snapshot snapshot, const std::string& prefix,
-    ShardedEngineOptions options) {
-  ShardedQueryEngine sharded(options);
-  std::vector<std::string> labels;
-  for (const auto& label : snapshot.table.Labels()) {
-    if (util::StartsWith(label, prefix)) labels.push_back(label);
-  }
-  sharded.snapshot_ = std::move(snapshot);
-  sharded.meta_ = sharded.snapshot_.meta;
-  sharded.dim_ = sharded.snapshot_.table.dim();
-  const embed::EmbeddingTable& table = sharded.snapshot_.table;
-  TDM_RETURN_NOT_OK(sharded.BuildShards(
-      labels, prefix, [&table, &labels](const std::vector<size_t>& global_ids) {
-        std::vector<const std::vector<float>*> rows;
-        rows.reserve(global_ids.size());
-        for (const size_t g : global_ids) rows.push_back(table.Get(labels[g]));
-        return VectorMatrix::FromRows(rows, table.dim());
-      }));
-  return sharded;
-}
 
 util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
     std::shared_ptr<const SnapshotView> view, const std::string& prefix,
@@ -55,20 +32,13 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
   sharded.meta_ = view->meta();
   sharded.dim_ = view->dim();
   sharded.view_ = std::move(view);
-  const SnapshotView& v = *sharded.view_;
-  TDM_RETURN_NOT_OK(sharded.BuildShards(
-      labels, prefix, [&v, &view_rows](const std::vector<size_t>& global_ids) {
-        std::vector<size_t> rows;
-        rows.reserve(global_ids.size());
-        for (const size_t g : global_ids) rows.push_back(view_rows[g]);
-        return VectorMatrix::FromRawRows(v.payload(), rows, v.dim());
-      }));
+  TDM_RETURN_NOT_OK(sharded.BuildShards(labels, view_rows, prefix));
   return sharded;
 }
 
 util::Status ShardedQueryEngine::BuildShards(
-    const std::vector<std::string>& labels, const std::string& prefix,
-    const std::function<VectorMatrix(const std::vector<size_t>&)>& gather) {
+    const std::vector<std::string>& labels,
+    const std::vector<size_t>& view_rows, const std::string& prefix) {
   if (labels.empty()) {
     return util::Status::NotFound(util::StrFormat(
         "snapshot '%s' has no labels with candidate prefix '%s'",
@@ -88,13 +58,12 @@ util::Status ShardedQueryEngine::BuildShards(
 
   // The snapshot's index section fingerprints the whole candidate set:
   // validate it once here, then every shard adopts its own slice.
-  const std::string_view bytes =
-      QueryEngine::IvfSectionBytes(snapshot_, view_.get());
+  const std::string_view* bytes = view_->Section(QueryEngine::kIvfSectionTag);
   std::optional<IvfSection> section;
   if (options_.engine.build_ivf && options_.engine.use_snapshot_index &&
-      !bytes.empty()) {
+      bytes != nullptr && !bytes->empty()) {
     auto parsed = IvfSection::Parse(
-        bytes, labels.size(), static_cast<size_t>(dim_),
+        *bytes, labels.size(), static_cast<size_t>(dim_),
         QueryEngine::CandidateLabelsCrc(labels));
     if (parsed.ok()) {
       section = std::move(parsed).ValueOrDie();
@@ -123,7 +92,11 @@ util::Status ShardedQueryEngine::BuildShards(
       pending.size(), build_threads,
       [&](size_t begin, size_t end, size_t) {
         for (size_t i = begin; i < end; ++i) {
-          auto matrix = std::make_shared<VectorMatrix>(gather(pending[i]));
+          std::vector<size_t> rows;
+          rows.reserve(pending[i].size());
+          for (const size_t g : pending[i]) rows.push_back(view_rows[g]);
+          auto matrix = std::make_shared<VectorMatrix>(
+              VectorMatrix::FromRawRows(view_->payload(), rows, dim_));
           std::unique_ptr<IvfIndex> ivf;
           if (section.has_value()) {
             std::vector<int32_t> local_ids(labels.size(), -1);
@@ -157,17 +130,13 @@ util::Status ShardedQueryEngine::BuildShards(
 
 util::Result<std::vector<float>> ShardedQueryEngine::LabelVector(
     const std::string& label) const {
-  if (view_ != nullptr) {
-    const int64_t row = view_->FindRow(label);
-    if (row >= 0) {
-      std::vector<float> vec(static_cast<size_t>(dim_));
-      view_->CopyRow(static_cast<size_t>(row), vec.data());
-      return vec;
-    }
-  } else if (const std::vector<float>* vec = snapshot_.table.Get(label)) {
-    return *vec;
+  const int64_t row = view_->FindRow(label);
+  if (row < 0) {
+    return util::Status::NotFound("no embedding for label '" + label + "'");
   }
-  return util::Status::NotFound("no embedding for label '" + label + "'");
+  std::vector<float> vec(static_cast<size_t>(dim_));
+  view_->CopyRow(static_cast<size_t>(row), vec.data());
+  return vec;
 }
 
 util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(

@@ -2,7 +2,6 @@
 #define TDMATCH_SERVE_SHARDED_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,13 +55,10 @@ struct ShardedEngineOptions {
 /// callers (the scatter pool serializes nothing but the task queue).
 class ShardedQueryEngine {
  public:
-  /// Copying path: candidates are the snapshot labels with `prefix`.
-  static util::Result<ShardedQueryEngine> Build(
-      Snapshot snapshot, const std::string& prefix,
-      ShardedEngineOptions options = {});
-
-  /// mmap path: shard matrices are gathered straight from the mapped
-  /// payload; the engine shares ownership of the view.
+  /// Candidates are the view labels with `prefix`, in file order; shard
+  /// matrices are gathered straight from the mapped payload, and label
+  /// lookups resolve against the mapping. The engine shares ownership of
+  /// the view.
   static util::Result<ShardedQueryEngine> BuildFromView(
       std::shared_ptr<const SnapshotView> view, const std::string& prefix,
       ShardedEngineOptions options = {});
@@ -127,17 +123,17 @@ class ShardedQueryEngine {
       : options_(options),
         sharder_(options.shards < 1 ? 1 : options.shards, options.sharder) {}
 
-  /// Partitions `labels` (global candidate order, those with `prefix`)
-  /// and builds one engine per non-empty shard; `gather` materializes the
-  /// normalized matrix for a list of global candidate ids (table rows or
-  /// mapped payload rows). The snapshot's "ivfpq" section is validated
-  /// once over `labels` and sliced per shard; one that fails validation
-  /// is logged and every shard trains instead.
-  util::Status BuildShards(
-      const std::vector<std::string>& labels, const std::string& prefix,
-      const std::function<VectorMatrix(const std::vector<size_t>&)>& gather);
-  /// A copy of the raw (unnormalized) embedding stored under `label`, from
-  /// the view or the loaded table; NotFound when unknown.
+  /// Partitions `labels` (global candidate order, those with `prefix`;
+  /// candidate g is view row view_rows[g]) and builds one engine per
+  /// non-empty shard over a normalized matrix gathered from the mapped
+  /// payload. The snapshot's "ivfpq" section is validated once over
+  /// `labels` and sliced per shard; one that fails validation is logged
+  /// and every shard trains instead.
+  util::Status BuildShards(const std::vector<std::string>& labels,
+                           const std::vector<size_t>& view_rows,
+                           const std::string& prefix);
+  /// A copy of the raw (unnormalized) embedding stored under `label` in
+  /// the view; NotFound when unknown.
   util::Result<std::vector<float>> LabelVector(const std::string& label) const;
   /// Fans `vec` out to every shard (on the pool when `use_pool`), merges
   /// by (score desc, global id asc), truncates to k.
@@ -152,9 +148,8 @@ class ShardedQueryEngine {
   int dim_ = 0;
   size_t num_candidates_ = 0;
   size_t max_nprobe_ = 0;
-  /// Copy path keeps the loaded snapshot for label lookups; view path
-  /// keeps the mapping.
-  Snapshot snapshot_;
+  /// The mapping every shard matrix was gathered from; label lookups
+  /// resolve against it.
   std::shared_ptr<const SnapshotView> view_;
   /// Non-empty shards, in shard-id order.
   std::vector<QueryEngine> shards_;

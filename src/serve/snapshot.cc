@@ -3,10 +3,11 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "embed/io.h"
+#include "serve/mmap_snapshot.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
@@ -16,20 +17,11 @@ namespace serve {
 
 namespace {
 
-// Integer appends and the bounds-checked body reader live in
-// util/byte_io — the same primitives serialize the index sections
-// (serve/ivf_index.cc).
+// Integer appends live in util/byte_io — the same primitives serialize
+// the index sections (serve/ivf_index.cc).
 using util::AppendLengthPrefixed;
 using util::AppendU32;
 using util::AppendU64;
-using Cursor = util::ByteCursor;
-
-constexpr char kMagic[4] = {'T', 'D', 'M', 'S'};
-constexpr uint32_t kEndianMarker = 0x01020304u;
-/// magic + version + endian marker.
-constexpr size_t kHeaderBytes = 12;
-/// trailing CRC.
-constexpr size_t kFooterBytes = 4;
 
 util::Status AppendString(std::string* out, const std::string& s) {
   return AppendLengthPrefixed(out, s);
@@ -50,42 +42,6 @@ const std::string& SnapshotMeta::Find(const std::string& key) const {
     if (kv.first == key) return kv.second;
   }
   return kEmpty;
-}
-
-util::Status ValidateSnapshotGeometry(const std::string& path, uint32_t dim,
-                                      uint64_t count, size_t remaining) {
-  if (dim == 0 && count > 0) {
-    return util::Status::InvalidArgument(path + ": zero dim with vectors");
-  }
-  if (dim > static_cast<uint32_t>(INT32_MAX)) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: declared dim %u exceeds the supported maximum", path.c_str(),
-        dim));
-  }
-  // A hostile header can declare a geometry whose payload byte count
-  // rows * dim * sizeof(float) wraps narrower arithmetic (already at
-  // rows * dim >= 2^30 for 32-bit math). Do the multiplication once in
-  // overflow-checked 64-bit math and reject explicitly, so no later size
-  // computation — allocation, cursor advance, span construction — ever
-  // sees a wrapped value.
-  const uint64_t row_bytes = static_cast<uint64_t>(dim) * sizeof(float);
-  if (row_bytes > 0 && count > UINT64_MAX / row_bytes) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: payload size of %llu vectors x %u dims overflows 64-bit byte "
-        "arithmetic",
-        path.c_str(), static_cast<unsigned long long>(count), dim));
-  }
-  // A valid CRC proves the bytes are intact, not that the writer was
-  // SnapshotIo — validate declared counts against the bytes actually
-  // present before sizing any allocation from them (every entry needs at
-  // least a 4-byte label length plus its dim floats).
-  const uint64_t min_entry_bytes = sizeof(uint32_t) + row_bytes;
-  if (count > remaining / min_entry_bytes) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: declared %llu vectors cannot fit in %zu remaining bytes",
-        path.c_str(), static_cast<unsigned long long>(count), remaining));
-  }
-  return util::Status::OK();
 }
 
 util::Status SnapshotIo::Write(const embed::EmbeddingTable& table,
@@ -194,123 +150,19 @@ util::Status SnapshotIo::Write(
 }
 
 util::Result<Snapshot> SnapshotIo::Read(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return util::Status::IOError("cannot open " + path);
-  const std::streamoff file_size = in.tellg();
-  if (file_size < static_cast<std::streamoff>(kHeaderBytes + kFooterBytes)) {
-    return util::Status::IOError(util::StrFormat(
-        "%s: not a snapshot (%lld bytes, smaller than header + CRC)",
-        path.c_str(), static_cast<long long>(file_size)));
-  }
-  std::string buf(static_cast<size_t>(file_size), '\0');
-  in.seekg(0);
-  if (!in.read(&buf[0], file_size)) {
-    return util::Status::IOError("read failed for " + path);
-  }
-
-  if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::InvalidArgument(
-        path + ": bad magic (not a TDmatch snapshot)");
-  }
-  uint32_t version = 0;
-  uint32_t endian = 0;
-  std::memcpy(&version, buf.data() + 4, sizeof(version));
-  std::memcpy(&endian, buf.data() + 8, sizeof(endian));
-  if (endian != kEndianMarker) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: endianness marker 0x%08x != 0x%08x — snapshot was written on a "
-        "machine with different byte order",
-        path.c_str(), endian, kEndianMarker));
-  }
-  if (version != kVersion && version != kVersionSections) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: snapshot version %u, this build reads %u and %u", path.c_str(),
-        version, kVersion, kVersionSections));
-  }
-
-  const char* body = buf.data() + kHeaderBytes;
-  const size_t body_size = buf.size() - kHeaderBytes - kFooterBytes;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf.data() + buf.size() - kFooterBytes,
-              sizeof(stored_crc));
-  const uint32_t actual_crc = util::Crc32(body, body_size);
-  if (stored_crc != actual_crc) {
-    return util::Status::IOError(util::StrFormat(
-        "%s: CRC mismatch (stored 0x%08x, computed 0x%08x) — snapshot is "
-        "corrupted or truncated",
-        path.c_str(), stored_crc, actual_crc));
-  }
-
-  Cursor cur(body, body_size);
-  uint32_t dim = 0;
-  uint64_t count = 0;
-  TDM_RETURN_NOT_OK(cur.ReadU32(&dim));
-  TDM_RETURN_NOT_OK(cur.ReadU64(&count));
-  TDM_RETURN_NOT_OK(
-      ValidateSnapshotGeometry(path, dim, count, cur.Remaining()));
-
+  TDM_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotView> view,
+                       SnapshotView::Open(path));
   Snapshot snap;
-  TDM_RETURN_NOT_OK(cur.ReadString(&snap.meta.scenario));
-  uint32_t num_extra = 0;
-  TDM_RETURN_NOT_OK(cur.ReadU32(&num_extra));
-  if (num_extra > cur.Remaining() / (2 * sizeof(uint32_t))) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: declared %u metadata pairs cannot fit in %zu remaining bytes",
-        path.c_str(), num_extra, cur.Remaining()));
+  snap.meta = view->meta();
+  snap.table = embed::EmbeddingTable(view->dim());
+  std::vector<float> vec(static_cast<size_t>(view->dim()));
+  for (size_t i = 0; i < view->size(); ++i) {
+    view->CopyRow(i, vec.data());
+    snap.table.Put(std::string(view->label(i)), vec);
   }
-  snap.meta.extra.reserve(num_extra);
-  for (uint32_t i = 0; i < num_extra; ++i) {
-    std::string key, value;
-    TDM_RETURN_NOT_OK(cur.ReadString(&key));
-    TDM_RETURN_NOT_OK(cur.ReadString(&value));
-    // The writer's internal alignment pad is not part of the caller's
-    // metadata; dropping it keeps Write → Read → Write round trips stable.
-    if (key == kPadKey) continue;
-    snap.meta.extra.emplace_back(std::move(key), std::move(value));
-  }
-
-  std::vector<std::string> labels(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    TDM_RETURN_NOT_OK(cur.ReadString(&labels[i]));
-  }
-  snap.table = embed::EmbeddingTable(static_cast<int>(dim));
-  std::vector<float> vec(dim);
-  for (uint64_t i = 0; i < count; ++i) {
-    TDM_RETURN_NOT_OK(cur.ReadFloats(vec.data(), dim));
-    snap.table.Put(labels[i], vec);
-  }
-
-  if (version >= kVersionSections) {
-    uint32_t num_sections = 0;
-    TDM_RETURN_NOT_OK(cur.ReadU32(&num_sections));
-    // Each section needs at least its tag length prefix + byte length.
-    if (num_sections > cur.Remaining() / (sizeof(uint32_t) + sizeof(uint64_t))) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "%s: declared %u sections cannot fit in %zu remaining bytes",
-          path.c_str(), num_sections, cur.Remaining()));
-    }
-    snap.sections.reserve(num_sections);
-    for (uint32_t i = 0; i < num_sections; ++i) {
-      std::string tag;
-      TDM_RETURN_NOT_OK(cur.ReadString(&tag));
-      uint64_t len = 0;
-      TDM_RETURN_NOT_OK(cur.ReadU64(&len));
-      if (len > cur.Remaining()) {
-        return util::Status::InvalidArgument(util::StrFormat(
-            "%s: section \"%s\" declares %llu bytes with %zu left",
-            path.c_str(), tag.c_str(), static_cast<unsigned long long>(len),
-            cur.Remaining()));
-      }
-      std::string bytes(static_cast<size_t>(len), '\0');
-      TDM_RETURN_NOT_OK(cur.ReadBytes(bytes.data(), bytes.size()));
-      snap.sections.emplace_back(std::move(tag), std::move(bytes));
-    }
-  }
-
-  if (cur.Remaining() != 0) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "%s: %zu trailing bytes after the vector payload", path.c_str(),
-        cur.Remaining()));
+  snap.sections.reserve(view->sections().size());
+  for (const auto& [tag, bytes] : view->sections()) {
+    snap.sections.emplace_back(tag, bytes);
   }
   return snap;
 }

@@ -1,6 +1,7 @@
 #ifndef TDMATCH_SERVE_SNAPSHOT_H_
 #define TDMATCH_SERVE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,10 +40,11 @@ namespace serve {
 ///              (u32 length + bytes), u64 byte length, and the bytes
 ///   [N..N+4) u32 CRC-32 of the body
 ///
-/// Strings are u32 length + raw bytes. Readers parse from one in-memory
-/// buffer with bounds-checked cursor reads; any overrun, bad magic, version
-/// skew, foreign endianness, trailing garbage, or CRC mismatch is a
-/// descriptive error — never a partially-loaded model.
+/// Strings are u32 length + raw bytes. One parser reads the format:
+/// serve::SnapshotView::Open, with bounds-checked cursor reads over the
+/// mapped file; any overrun, bad magic, version skew, foreign endianness,
+/// duplicate label, trailing garbage, or CRC mismatch is a descriptive
+/// error — never a partially-loaded model.
 ///
 /// Sections are opaque named blobs riding after the payload — the hook for
 /// derived serving artifacts (the serialized IVF/PQ index uses tag
@@ -77,20 +79,19 @@ struct Snapshot {
   const std::string* Section(const std::string& tag) const;
 };
 
-/// Validates a declared (dim, vector count) geometry against the bytes
-/// actually available, in overflow-checked 64-bit arithmetic. Shared by
-/// the copying loader (SnapshotIo::Read) and the mmap view
-/// (SnapshotView::Open): both must reject hostile headers — absurd counts,
-/// dims beyond int range, payload sizes that would wrap 32-bit math —
-/// before any allocation or pointer arithmetic uses them.
-util::Status ValidateSnapshotGeometry(const std::string& path, uint32_t dim,
-                                      uint64_t count, size_t remaining);
-
 class SnapshotIo {
  public:
+  static constexpr char kMagic[4] = {'T', 'D', 'M', 'S'};
   static constexpr uint32_t kVersion = 1;
   /// Written instead of kVersion when the snapshot carries sections.
   static constexpr uint32_t kVersionSections = 2;
+  /// Written after the version; a reader on a foreign-endian machine sees
+  /// it byte-swapped.
+  static constexpr uint32_t kEndianMarker = 0x01020304u;
+  /// magic + version + endian marker.
+  static constexpr size_t kHeaderBytes = 12;
+  /// The trailing CRC-32 of the body.
+  static constexpr size_t kFooterBytes = 4;
 
   /// Reserved metadata key. Write appends a 0–3 byte "_pad" pair sized so
   /// the f32 payload starts 4-byte aligned in the file (and therefore in
@@ -113,8 +114,11 @@ class SnapshotIo {
       const std::vector<std::pair<std::string, std::string>>& sections,
       const std::string& path);
 
-  /// Loads a snapshot written by Write. Rejects corrupted, truncated,
-  /// foreign-endian, and version-skewed files.
+  /// Loads a snapshot written by Write into memory: opens it as a
+  /// SnapshotView (which rejects corrupted, truncated, foreign-endian,
+  /// and version-skewed files) and copies the metadata, rows and sections
+  /// out of the mapping. For the offline converters and tools that edit a
+  /// table; serving engines build straight from the view.
   static util::Result<Snapshot> Read(const std::string& path);
 
   /// Conversion paths between the text format (embed::EmbeddingIo) and the

@@ -151,7 +151,7 @@ TEST(JsonTest, WriterRoundTripsDoublesBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::SnapshotView (mmap) vs SnapshotIo (copy)
+// serve::SnapshotView, and SnapshotIo::Read's copy out of it
 // ---------------------------------------------------------------------------
 
 embed::EmbeddingTable AwkwardTable() {
@@ -1074,33 +1074,6 @@ TEST(MatchServiceTest, ReloadRouteCanBeDisabled) {
   auto r = client->Post("/v1/reload", "{}");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status, 404);
-  std::remove(path.c_str());
-}
-
-TEST(MatchServiceTest, CopyLoaderPathServesIdenticallyToMmap) {
-  const std::string path = WriteGeometricSnapshot("svc_copy.tds", 10, 0);
-  ServiceOptions mopts;
-  mopts.use_mmap = true;
-  ServiceOptions copts;
-  copts.use_mmap = false;
-  ServiceFixture mmap_fx(path, mopts);
-  ServiceFixture copy_fx(path, copts);
-  auto c1 = HttpClient::Connect("127.0.0.1", mmap_fx.server.port());
-  auto c2 = HttpClient::Connect("127.0.0.1", copy_fx.server.port());
-  ASSERT_TRUE(c1.ok() && c2.ok());
-  for (size_t i = 0; i < 10; ++i) {
-    const std::string body =
-        "{\"label\": \"q" + std::to_string(i) + "\", \"k\": 4}";
-    auto a = c1->Post("/v1/query", body);
-    auto b = c2->Post("/v1/query", body);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->status, 200);
-    ASSERT_EQ(b->status, 200);
-    auto da = util::JsonParse(a->body);
-    auto db = util::JsonParse(b->body);
-    ASSERT_TRUE(da.ok() && db.ok());
-    EXPECT_EQ(ParseMatches(*da), ParseMatches(*db)) << body;
-  }
   std::remove(path.c_str());
 }
 

@@ -172,6 +172,23 @@ std::string WriteGeometricSnapshot(const std::string& name, size_t n,
   return path;
 }
 
+/// The sharded engine over `path`'s "c" candidates, through the one
+/// build path: map the file, build from the view.
+util::Result<ShardedQueryEngine> BuildSharded(
+    const std::string& path, const ShardedEngineOptions& opts) {
+  TDM_ASSIGN_OR_RETURN(auto view, serve::SnapshotView::Open(path));
+  return ShardedQueryEngine::BuildFromView(std::move(view), "c", opts);
+}
+
+/// The sharded engine over GeometricSnapshot(n), written and mapped.
+util::Result<ShardedQueryEngine> BuildGeometricSharded(
+    size_t n, const ShardedEngineOptions& opts) {
+  const std::string path = WriteGeometricSnapshot("shard_geometry.tds", n, 0);
+  auto sharded = BuildSharded(path, opts);
+  std::remove(path.c_str());  // the engine's mapping keeps the file alive
+  return sharded;
+}
+
 QueryEngineOptions TestEngineOptions() {
   QueryEngineOptions opts;
   opts.threads = 2;  // exercise the scatter pool
@@ -202,8 +219,7 @@ TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
     ShardedEngineOptions opts;
     opts.shards = shards;
     opts.engine = TestEngineOptions();
-    auto sharded =
-        ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+    auto sharded = BuildGeometricSharded(n, opts);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     EXPECT_EQ(sharded->num_shards(), shards);
     EXPECT_EQ(sharded->num_candidates(), n);
@@ -227,35 +243,6 @@ TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedEngineTest, ViewPathBitIdenticalToCopyPath) {
-  const std::string path = WriteGeometricSnapshot("shard_view.tds", 48, 3);
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    opts.engine = TestEngineOptions();
-
-    auto snap = serve::SnapshotIo::Read(path);
-    ASSERT_TRUE(snap.ok());
-    auto copy = ShardedQueryEngine::Build(std::move(*snap), "c", opts);
-    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
-
-    auto view = serve::SnapshotView::Open(path);
-    ASSERT_TRUE(view.ok());
-    auto mapped = ShardedQueryEngine::BuildFromView(*view, "c", opts);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-    for (size_t i = 0; i < 48; ++i) {
-      const std::string q = "q" + std::to_string(i);
-      auto a = copy->Query(q, 6, SearchMode::kExact);
-      auto b = mapped->Query(q, 6, SearchMode::kExact);
-      ASSERT_TRUE(a.ok() && b.ok());
-      ExpectSameMatches(*a, *b,
-                        q + " shards=" + std::to_string(shards));
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(ShardedEngineTest, FilteredBatchAndVectorMatchUnsharded) {
   const size_t n = 40;
   auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
@@ -264,8 +251,7 @@ TEST(ShardedEngineTest, FilteredBatchAndVectorMatchUnsharded) {
   ShardedEngineOptions opts;
   opts.shards = 4;
   opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+  auto sharded = BuildGeometricSharded(n, opts);
   ASSERT_TRUE(sharded.ok());
 
   // Filtered: the allowed set straddles shards and contains an unknown.
@@ -313,8 +299,7 @@ TEST(ShardedEngineTest, ErrorsMatchUnsharded) {
   ShardedEngineOptions opts;
   opts.shards = 4;
   opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+  auto sharded = BuildGeometricSharded(n, opts);
   ASSERT_TRUE(sharded.ok());
 
   auto want = reference->Query("nope", 5, SearchMode::kExact);
@@ -338,8 +323,7 @@ TEST(ShardedEngineTest, MoreShardsThanCandidatesCompactsEmptyOnes) {
   ShardedEngineOptions opts;
   opts.shards = 8;
   opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+  auto sharded = BuildGeometricSharded(n, opts);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded->num_shards(), 8u);
   EXPECT_LE(sharded->active_shards(), n);
@@ -362,8 +346,8 @@ TEST(ShardedEngineTest, ApproxIsDeterministicAndFullProbeRecoversExact) {
     ShardedEngineOptions opts;
     opts.shards = shards;
     opts.engine = TestEngineOptions();
-    auto a = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-    auto b = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
+    auto a = BuildGeometricSharded(n, opts);
+    auto b = BuildGeometricSharded(n, opts);
     ASSERT_TRUE(a.ok() && b.ok()) << ctx;
     ASSERT_TRUE(a->has_ivf()) << ctx;
     EXPECT_FALSE(a->ivf_from_snapshot()) << ctx;
@@ -460,18 +444,6 @@ std::string WriteWithSection(const std::string& name,
   return path;
 }
 
-/// The sharded engine over `path`, through the copy (Build) or the mmap
-/// (BuildFromView) path.
-util::Result<ShardedQueryEngine> BuildSharded(
-    const std::string& path, bool mmap, const ShardedEngineOptions& opts) {
-  if (mmap) {
-    TDM_ASSIGN_OR_RETURN(auto view, serve::SnapshotView::Open(path));
-    return ShardedQueryEngine::BuildFromView(std::move(view), "c", opts);
-  }
-  TDM_ASSIGN_OR_RETURN(serve::Snapshot snap, serve::SnapshotIo::Read(path));
-  return ShardedQueryEngine::Build(std::move(snap), "c", opts);
-}
-
 QueryEngineOptions SectionEngineOptions(size_t pq_m) {
   QueryEngineOptions opts = TestEngineOptions();
   opts.ivf.nprobe = 2;
@@ -501,55 +473,52 @@ TEST(ShardedEngineTest, AdoptedFlatSectionBitIdenticalAcrossShardCounts) {
       {1, 0, 0, 0, 0, 0, 0, 0}, {0.5f, -1, 2, 0, 0.25f, 0, -3, 1}};
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (bool mmap : {false, true}) {
-      const std::string ctx = "shards=" + std::to_string(shards) +
-                              (mmap ? " view" : " copy");
-      ShardedEngineOptions opts;
-      opts.shards = shards;
-      opts.engine = eopts;
-      auto sharded = BuildSharded(path, mmap, opts);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      EXPECT_TRUE(sharded->ivf_from_snapshot()) << ctx;
-      size_t members = 0;
-      for (size_t s = 0; s < sharded->active_shards(); ++s) {
-        const QueryEngine& shard = sharded->shard(s);
-        EXPECT_TRUE(shard.ivf_from_snapshot()) << ctx << " shard " << s;
-        ASSERT_TRUE(shard.has_ivf());
-        EXPECT_EQ(shard.ivf_index()->nlist(), nlist) << ctx;
-        for (size_t c = 0; c < nlist; ++c) {
-          members += shard.ivf_index()->ListSize(c);
-        }
+    const std::string ctx = "shards=" + std::to_string(shards);
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.engine = eopts;
+    auto sharded = BuildSharded(path, opts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    EXPECT_TRUE(sharded->ivf_from_snapshot()) << ctx;
+    size_t members = 0;
+    for (size_t s = 0; s < sharded->active_shards(); ++s) {
+      const QueryEngine& shard = sharded->shard(s);
+      EXPECT_TRUE(shard.ivf_from_snapshot()) << ctx << " shard " << s;
+      ASSERT_TRUE(shard.has_ivf());
+      EXPECT_EQ(shard.ivf_index()->nlist(), nlist) << ctx;
+      for (size_t c = 0; c < nlist; ++c) {
+        members += shard.ivf_index()->ListSize(c);
       }
-      EXPECT_EQ(members, n) << ctx;  // the slices partition every list
-      EXPECT_EQ(sharded->max_nprobe(), nlist) << ctx;
+    }
+    EXPECT_EQ(members, n) << ctx;  // the slices partition every list
+    EXPECT_EQ(sharded->max_nprobe(), nlist) << ctx;
 
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t nprobe : {size_t{0}, size_t{1}, size_t{4}}) {
-          auto want = reference->Query(labels[i], 5, SearchMode::kApprox,
-                                       nprobe);
-          auto got =
-              sharded->Query(labels[i], 5, SearchMode::kApprox, nprobe);
-          ASSERT_TRUE(want.ok() && got.ok());
-          ExpectSameMatches(*want, *got,
-                            labels[i] + " nprobe=" + std::to_string(nprobe) +
-                                " " + ctx);
-        }
-      }
-      for (const auto& v : vectors) {
-        auto want = reference->QueryVector(v, 7, SearchMode::kApprox);
-        auto got = sharded->QueryVector(v, 7, SearchMode::kApprox);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t nprobe : {size_t{0}, size_t{1}, size_t{4}}) {
+        auto want = reference->Query(labels[i], 5, SearchMode::kApprox,
+                                     nprobe);
+        auto got =
+            sharded->Query(labels[i], 5, SearchMode::kApprox, nprobe);
         ASSERT_TRUE(want.ok() && got.ok());
-        ExpectSameMatches(*want, *got, "vector " + ctx);
+        ExpectSameMatches(*want, *got,
+                          labels[i] + " nprobe=" + std::to_string(nprobe) +
+                              " " + ctx);
       }
-      auto want_batch = reference->QueryBatch(labels, 5, SearchMode::kApprox);
-      auto got_batch = sharded->QueryBatch(labels, 5, SearchMode::kApprox);
-      ASSERT_EQ(want_batch.size(), got_batch.size());
-      for (size_t i = 0; i < want_batch.size(); ++i) {
-        ASSERT_EQ(want_batch[i].ok(), got_batch[i].ok()) << "slot " << i;
-        if (!want_batch[i].ok()) continue;
-        ExpectSameMatches(*want_batch[i], *got_batch[i],
-                          "batch " + labels[i] + " " + ctx);
-      }
+    }
+    for (const auto& v : vectors) {
+      auto want = reference->QueryVector(v, 7, SearchMode::kApprox);
+      auto got = sharded->QueryVector(v, 7, SearchMode::kApprox);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ExpectSameMatches(*want, *got, "vector " + ctx);
+    }
+    auto want_batch = reference->QueryBatch(labels, 5, SearchMode::kApprox);
+    auto got_batch = sharded->QueryBatch(labels, 5, SearchMode::kApprox);
+    ASSERT_EQ(want_batch.size(), got_batch.size());
+    for (size_t i = 0; i < want_batch.size(); ++i) {
+      ASSERT_EQ(want_batch[i].ok(), got_batch[i].ok()) << "slot " << i;
+      if (!want_batch[i].ok()) continue;
+      ExpectSameMatches(*want_batch[i], *got_batch[i],
+                        "batch " + labels[i] + " " + ctx);
     }
   }
   std::remove(path.c_str());
@@ -588,41 +557,38 @@ TEST(ShardedEngineTest, AdoptedPqSectionDeterministicRecallAtLeastUnsharded) {
   });
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (bool mmap : {false, true}) {
-      const std::string ctx = "shards=" + std::to_string(shards) +
-                              (mmap ? " view" : " copy");
-      ShardedEngineOptions opts;
-      opts.shards = shards;
-      opts.engine = eopts;
-      auto a = BuildSharded(path, mmap, opts);
-      auto b = BuildSharded(path, mmap, opts);
-      ASSERT_TRUE(a.ok() && b.ok()) << ctx;
-      EXPECT_TRUE(a->ivf_from_snapshot()) << ctx;
-      for (size_t s = 0; s < a->active_shards(); ++s) {
-        EXPECT_TRUE(a->shard(s).ivf_from_snapshot()) << ctx;
-        EXPECT_TRUE(a->shard(s).ivf_index()->pq_enabled()) << ctx;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const std::string q = "q" + std::to_string(i);
-        auto ra = a->Query(q, k, SearchMode::kApprox);
-        auto rb = b->Query(q, k, SearchMode::kApprox);
-        auto want = reference->Query(q, k, SearchMode::kApprox);
-        ASSERT_TRUE(ra.ok() && rb.ok() && want.ok());
-        ExpectSameMatches(*ra, *rb, "determinism " + q + " " + ctx);
-        // Every shard re-ranks its own ADC shortlist: together a superset
-        // of the unsharded shortlist, so rank by rank the exact scores
-        // can only be as good or better.
-        ASSERT_EQ(ra->size(), want->size()) << q << " " << ctx;
-        for (size_t r = 0; r < want->size(); ++r) {
-          EXPECT_GE((*ra)[r].score, (*want)[r].score)
-              << q << " rank " << r << " " << ctx;
-        }
-      }
-      const size_t sharded_hits = recall_hits([&](const std::string& q) {
-        return a->Query(q, k, SearchMode::kApprox);
-      });
-      EXPECT_GE(sharded_hits, unsharded_hits) << ctx;
+    const std::string ctx = "shards=" + std::to_string(shards);
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.engine = eopts;
+    auto a = BuildSharded(path, opts);
+    auto b = BuildSharded(path, opts);
+    ASSERT_TRUE(a.ok() && b.ok()) << ctx;
+    EXPECT_TRUE(a->ivf_from_snapshot()) << ctx;
+    for (size_t s = 0; s < a->active_shards(); ++s) {
+      EXPECT_TRUE(a->shard(s).ivf_from_snapshot()) << ctx;
+      EXPECT_TRUE(a->shard(s).ivf_index()->pq_enabled()) << ctx;
     }
+    for (size_t i = 0; i < n; ++i) {
+      const std::string q = "q" + std::to_string(i);
+      auto ra = a->Query(q, k, SearchMode::kApprox);
+      auto rb = b->Query(q, k, SearchMode::kApprox);
+      auto want = reference->Query(q, k, SearchMode::kApprox);
+      ASSERT_TRUE(ra.ok() && rb.ok() && want.ok());
+      ExpectSameMatches(*ra, *rb, "determinism " + q + " " + ctx);
+      // Every shard re-ranks its own ADC shortlist: together a superset
+      // of the unsharded shortlist, so rank by rank the exact scores
+      // can only be as good or better.
+      ASSERT_EQ(ra->size(), want->size()) << q << " " << ctx;
+      for (size_t r = 0; r < want->size(); ++r) {
+        EXPECT_GE((*ra)[r].score, (*want)[r].score)
+            << q << " rank " << r << " " << ctx;
+      }
+    }
+    const size_t sharded_hits = recall_hits([&](const std::string& q) {
+      return a->Query(q, k, SearchMode::kApprox);
+    });
+    EXPECT_GE(sharded_hits, unsharded_hits) << ctx;
   }
   std::remove(path.c_str());
 }
@@ -663,34 +629,31 @@ TEST(ShardedEngineTest, HostileSectionsFallBackToPerShardTraining) {
     const std::string path =
         WriteWithSection("shard_hostile_section.tds", snap, bytes);
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      for (bool mmap : {false, true}) {
-        const std::string ctx = what + " shards=" + std::to_string(shards) +
-                                (mmap ? " view" : " copy");
-        ShardedEngineOptions opts;
-        opts.shards = shards;
-        opts.engine = eopts;
-        testing::internal::CaptureStderr();
-        auto sharded = BuildSharded(path, mmap, opts);
-        const std::string log = testing::internal::GetCapturedStderr();
-        ASSERT_TRUE(sharded.ok()) << ctx << ": " << sharded.status().ToString();
-        EXPECT_TRUE(sharded->has_ivf()) << ctx;
-        EXPECT_FALSE(sharded->ivf_from_snapshot()) << ctx;
-        // One warning per build: the section is validated once, globally.
-        size_t warnings = 0;
-        for (size_t at = log.find("ignoring snapshot index section");
-             at != std::string::npos;
-             at = log.find("ignoring snapshot index section", at + 1)) {
-          ++warnings;
-        }
-        EXPECT_EQ(warnings, 1u) << ctx << "\n" << log;
-        for (size_t i = 0; i < n; i += 3) {
-          const std::string q = "q" + std::to_string(i);
-          auto want = reference->Query(q, 5, SearchMode::kExact);
-          auto got = sharded->Query(q, 5, SearchMode::kExact);
-          ASSERT_TRUE(want.ok() && got.ok());
-          ExpectSameMatches(*want, *got, q + " " + ctx);
-          EXPECT_TRUE(sharded->Query(q, 5, SearchMode::kApprox).ok());
-        }
+      const std::string ctx = what + " shards=" + std::to_string(shards);
+      ShardedEngineOptions opts;
+      opts.shards = shards;
+      opts.engine = eopts;
+      testing::internal::CaptureStderr();
+      auto sharded = BuildSharded(path, opts);
+      const std::string log = testing::internal::GetCapturedStderr();
+      ASSERT_TRUE(sharded.ok()) << ctx << ": " << sharded.status().ToString();
+      EXPECT_TRUE(sharded->has_ivf()) << ctx;
+      EXPECT_FALSE(sharded->ivf_from_snapshot()) << ctx;
+      // One warning per build: the section is validated once, globally.
+      size_t warnings = 0;
+      for (size_t at = log.find("ignoring snapshot index section");
+           at != std::string::npos;
+           at = log.find("ignoring snapshot index section", at + 1)) {
+        ++warnings;
+      }
+      EXPECT_EQ(warnings, 1u) << ctx << "\n" << log;
+      for (size_t i = 0; i < n; i += 3) {
+        const std::string q = "q" + std::to_string(i);
+        auto want = reference->Query(q, 5, SearchMode::kExact);
+        auto got = sharded->Query(q, 5, SearchMode::kExact);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ExpectSameMatches(*want, *got, q + " " + ctx);
+        EXPECT_TRUE(sharded->Query(q, 5, SearchMode::kApprox).ok());
       }
     }
     std::remove(path.c_str());

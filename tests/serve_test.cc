@@ -1,5 +1,6 @@
-// Tests for the online serving subsystem: snapshot persistence, the
-// exact/IVF index pair, and the batched QueryEngine.
+// Tests for the online serving subsystem: snapshot persistence (and its
+// one parser under seeded mutation), the exact/IVF index pair, and the
+// batched QueryEngine.
 
 #include <cmath>
 #include <cstdio>
@@ -13,9 +14,11 @@
 #include "embed/io.h"
 #include "serve/index.h"
 #include "serve/ivf_index.h"
+#include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace tdmatch {
@@ -161,6 +164,33 @@ TEST(SnapshotTest, RejectsAbsurdDeclaredCountsEvenWithValidCrc) {
   EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status().ToString();
   EXPECT_NE(snap.status().message().find("cannot fit"), std::string::npos)
       << snap.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, RejectsDuplicateLabelsInBothEntryPoints) {
+  // A CRC-valid file whose second label repeats the first: loading it must
+  // fail, not hand the first label the second row's vector.
+  const std::string path = TempPath("snap_dup_label.tds");
+  embed::EmbeddingTable table(2);
+  table.Put("dupA", {1.0f, 0.0f});
+  table.Put("dupB", {0.0f, 1.0f});
+  ASSERT_TRUE(serve::SnapshotIo::Write(table, DemoMeta(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t at = bytes.find("dupB");
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, 4, "dupA");
+  const uint32_t crc = util::Crc32(bytes.data() + 12, bytes.size() - 16);
+  std::memcpy(&bytes[bytes.size() - 4], &crc, sizeof(crc));
+  WriteFileBytes(path, bytes);
+
+  for (const util::Status& st :
+       {serve::SnapshotIo::Read(path).status(),
+        serve::SnapshotView::Open(path).status()}) {
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("duplicate label"), std::string::npos)
+        << st.ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -540,13 +570,8 @@ TEST(QueryEngineTest, FilteredQueryFindsAllowedOutsideProbedCells) {
 }
 
 TEST(QueryEngineTest, BuildRejectsBadCandidateSets) {
-  EXPECT_FALSE(
-      serve::QueryEngine::Build(GeometricSnapshot(4), {}).ok());
-  EXPECT_TRUE(serve::QueryEngine::Build(GeometricSnapshot(4),
-                                        {"c0", "missing"})
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(serve::QueryEngine::Build(GeometricSnapshot(4), {"c0", "c0"})
+  const auto matrix = MatrixOf({{1.0f, 0.0f}, {0.0f, 1.0f}}, 2);
+  EXPECT_TRUE(serve::QueryEngine::BuildOverMatrix(matrix, {"c0", "c0"}, {})
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(serve::QueryEngine::BuildForPrefix(GeometricSnapshot(4), "zz")
@@ -739,6 +764,160 @@ TEST(QueryEngineTest, FallsBackToTrainingOnStaleSection) {
   ASSERT_TRUE(opted_out.ok());
   EXPECT_FALSE(opted_out->ivf_from_snapshot());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The snapshot parser under seeded mutation
+// ---------------------------------------------------------------------------
+
+/// Offsets of the u32 length and count fields of a well-formed snapshot
+/// file (for a u64 field, its low word): dim, vector count, every string
+/// length prefix, the metadata pair and section counts, and each section
+/// byte length.
+std::vector<size_t> LengthFieldOffsets(const std::string& file) {
+  std::vector<size_t> at;
+  size_t pos = 12;
+  auto field = [&](size_t bytes) {
+    at.push_back(pos);
+    uint64_t v = 0;
+    std::memcpy(&v, &file[pos], bytes);
+    pos += bytes;
+    return v;
+  };
+  auto skip_string = [&] { pos += field(4); };
+  const uint64_t dim = field(4);
+  const uint64_t count = field(8);
+  skip_string();  // scenario
+  for (uint64_t i = 2 * field(4); i > 0; --i) skip_string();
+  for (uint64_t i = 0; i < count; ++i) skip_string();
+  pos += count * dim * sizeof(float);
+  for (uint64_t i = field(4); i > 0; --i) {
+    skip_string();
+    pos += field(8);
+  }
+  EXPECT_EQ(pos, file.size() - 4);  // the walk ends at the CRC
+  return at;
+}
+
+TEST(SnapshotMutationTest, EveryMutantFailsCleanlyOrServes) {
+  // Mutants of a snapshot with an "ivfpq" section: bit flips, body
+  // truncations, inflated length fields and splices, each re-stamped with
+  // a valid CRC so it reaches the structural parse. Each must either fail
+  // with a Status or open into a view whose every label and row reads and
+  // whose engine build fails with a Status or answers queries — never
+  // read out of bounds (the sanitizer builds run this too).
+  const std::vector<std::vector<float>> vectors = ClusteredVectors(64, 4, 4, 7);
+  serve::Snapshot snap;
+  snap.meta = DemoMeta();
+  snap.table = embed::EmbeddingTable(4);
+  for (size_t i = 0; i < 32; ++i) {
+    snap.table.Put("c" + std::to_string(i), vectors[i]);
+    snap.table.Put("q" + std::to_string(i), vectors[32 + i]);
+  }
+  serve::QueryEngineOptions opts;
+  opts.threads = 1;
+  opts.ivf.nlist = 4;
+  opts.ivf.pq_m = 2;
+  opts.ivf.pq_rerank = 8;
+  auto trained = serve::QueryEngine::BuildForPrefix(snap, "c", opts);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const std::string path = TempPath("snap_mutant.tds");
+  ASSERT_TRUE(serve::SnapshotIo::Write(
+                  snap.table, snap.meta,
+                  {{serve::QueryEngine::kIvfSectionTag,
+                    trained->SerializeIvfSection()}},
+                  path)
+                  .ok());
+  const std::string good = ReadFileBytes(path);
+  const std::vector<size_t> length_fields = LengthFieldOffsets(good);
+
+  const util::LogLevel threshold = util::LogMessage::Threshold();
+  util::LogMessage::SetThreshold(util::LogLevel::kError);  // fallbacks warn
+  util::Rng rng(20240917);
+  const size_t kMutants = 2000;
+  size_t opened = 0;
+  size_t built = 0;
+  size_t adopted = 0;
+  for (size_t m = 0; m < kMutants; ++m) {
+    std::string header = good.substr(0, 12);
+    std::string body = good.substr(12, good.size() - 16);
+    switch (rng.UniformInt(4)) {
+      case 0:  // bit flips anywhere before the CRC
+        for (uint64_t f = 1 + rng.UniformInt(3); f > 0; --f) {
+          const size_t bit = rng.UniformInt(8 * (header.size() + body.size()));
+          std::string& bytes = bit / 8 < header.size() ? header : body;
+          const size_t at = bit / 8 < header.size() ? bit / 8
+                                                     : bit / 8 - header.size();
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << (bit % 8)));
+        }
+        break;
+      case 1:  // body truncation
+        body.resize(rng.UniformInt(body.size()));
+        break;
+      case 2: {  // an inflated length field
+        const size_t at =
+            length_fields[rng.UniformInt(length_fields.size())] - 12;
+        uint32_t v = 0;
+        std::memcpy(&v, &body[at], sizeof(v));
+        const uint32_t inflated[] = {
+            v + 1, v + static_cast<uint32_t>(1 + rng.UniformInt(64)),
+            static_cast<uint32_t>(body.size() - at), 0x7fffffffu,
+            0xffffffffu, static_cast<uint32_t>(rng.Next())};
+        v = inflated[rng.UniformInt(6)];
+        std::memcpy(&body[at], &v, sizeof(v));
+        break;
+      }
+      default: {  // splice a chunk of the body over or into another place
+        const size_t len = 1 + rng.UniformInt(48);
+        const size_t from = rng.UniformInt(body.size() - len);
+        const std::string chunk = body.substr(from, len);
+        const size_t to = rng.UniformInt(body.size() - len);
+        if (rng.Bernoulli(0.5)) {
+          body.replace(to, len, chunk);
+        } else {
+          body.insert(to, chunk);
+        }
+        break;
+      }
+    }
+    const uint32_t crc = util::Crc32(body.data(), body.size());
+    WriteFileBytes(path, header + body +
+                             std::string(reinterpret_cast<const char*>(&crc),
+                                         sizeof(crc)));
+
+    auto view = serve::SnapshotView::Open(path);
+    EXPECT_EQ(serve::SnapshotIo::Read(path).ok(), view.ok()) << "mutant " << m;
+    if (!view.ok()) continue;
+    ++opened;
+    const serve::SnapshotView& v = **view;
+    std::vector<float> row(static_cast<size_t>(v.dim()));
+    for (size_t i = 0; i < v.size(); ++i) {
+      ASSERT_EQ(v.FindRow(std::string(v.label(i))), static_cast<int64_t>(i))
+          << "mutant " << m;
+      v.CopyRow(i, row.data());
+      if (v.aligned()) {
+        EXPECT_EQ(std::memcmp(v.row(i), row.data(),
+                              row.size() * sizeof(float)),
+                  0);
+      }
+    }
+    auto engine = serve::QueryEngine::BuildFromView(*view, "c", opts);
+    if (!engine.ok()) continue;
+    ++built;
+    adopted += engine->ivf_from_snapshot() ? 1 : 0;
+    const std::string label(v.label(0));
+    for (auto mode : {serve::SearchMode::kApprox, serve::SearchMode::kExact}) {
+      EXPECT_TRUE(engine->Query(label, 5, mode).ok()) << "mutant " << m;
+    }
+  }
+  util::LogMessage::SetThreshold(threshold);
+  std::remove(path.c_str());
+  // The mutants reach every outcome: rejected, opened, built, adopted.
+  EXPECT_LT(opened, kMutants);
+  EXPECT_GT(opened, kMutants / 4);
+  EXPECT_GT(built, 0u);
+  EXPECT_GT(adopted, 0u);
+  EXPECT_LT(adopted, built);
 }
 
 TEST(QueryEngineTest, QueryVectorValidatesDim) {

@@ -19,7 +19,7 @@
 //                 direction is sniffed from the input file's magic)
 //   tdmatch_serve serve    --snapshot model.tds [--port N] [--bind ADDR]
 //                 [--threads N] [--http-threads N] [--k N] [--nprobe N]
-//                 [--exact] [--no-mmap] [--no-reload]
+//                 [--exact] [--no-reload]
 //                 [--trace-sample F] [--slow-query-ms X] [--log-level L]
 //                          # HTTP front end: POST /v1/query, GET
 //                          # /v1/healthz, GET /v1/stats, GET /v1/metrics
@@ -39,6 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,7 @@
 #include "graph/builder.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
+#include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/obs/jsonlog.h"
@@ -82,7 +84,6 @@ struct ServeArgs {
   std::string bind = "127.0.0.1";
   size_t port = 8080;
   size_t http_threads = 4;
-  bool no_mmap = false;
   bool no_reload = false;
   size_t shards = 1;
   /// SIZE_MAX = no admission limit; 0 is valid and sheds every query.
@@ -134,7 +135,7 @@ int Usage(const char* prog) {
       "  convert        --in <file> --out <file>   (text <-> snapshot)\n"
       "  serve          --snapshot <model.tds> [--port N] [--bind ADDR]\n"
       "                 [--threads N] [--http-threads N] [--k N]\n"
-      "                 [--nprobe N] [--exact] [--no-mmap] [--no-reload]\n"
+      "                 [--nprobe N] [--exact] [--no-reload]\n"
       "                 [--shards N] [--max-inflight N]\n"
       "                 [--latency-budget-ms X] [--cache N] [--allow-delay]\n"
       "                 [--trace-sample F] [--slow-query-ms X]\n"
@@ -312,9 +313,9 @@ int RunBuildSnapshot(const ServeArgs& args) {
 }
 
 util::Result<serve::QueryEngine> LoadEngine(const ServeArgs& args) {
-  TDM_ASSIGN_OR_RETURN(serve::Snapshot snap,
-                       serve::SnapshotIo::Read(args.snapshot_path));
-  std::string prefix = snap.meta.Find("candidate_prefix");
+  TDM_ASSIGN_OR_RETURN(std::shared_ptr<const serve::SnapshotView> view,
+                       serve::SnapshotView::Open(args.snapshot_path));
+  std::string prefix = view->meta().Find("candidate_prefix");
   if (prefix.empty()) prefix = kCandidatePrefix;
   serve::QueryEngineOptions opts;
   opts.threads = args.threads;
@@ -322,7 +323,7 @@ util::Result<serve::QueryEngine> LoadEngine(const ServeArgs& args) {
   opts.build_ivf = !args.exact;
   opts.ivf.nprobe = args.nprobe;
   opts.ivf.pq_m = args.pq_m;
-  return serve::QueryEngine::BuildForPrefix(std::move(snap), prefix, opts);
+  return serve::QueryEngine::BuildFromView(std::move(view), prefix, opts);
 }
 
 /// `tdmatch_serve isa`: one line for CI logs — which kernel set queries
@@ -338,20 +339,21 @@ int RunIsa() {
 }
 
 int RunInfo(const ServeArgs& args) {
-  auto snap = serve::SnapshotIo::Read(args.snapshot_path);
-  if (!snap.ok()) {
-    std::fprintf(stderr, "%s\n", snap.status().ToString().c_str());
+  auto view = serve::SnapshotView::Open(args.snapshot_path);
+  if (!view.ok()) {
+    std::fprintf(stderr, "%s\n", view.status().ToString().c_str());
     return 1;
   }
+  const serve::SnapshotView& snap = **view;
   std::printf("snapshot %s\n  scenario: %s\n  vectors: %zu  dim: %d\n",
-              args.snapshot_path.c_str(), snap->meta.scenario.c_str(),
-              snap->table.size(), snap->table.dim());
-  for (const auto& kv : snap->meta.extra) {
+              args.snapshot_path.c_str(), snap.meta().scenario.c_str(),
+              snap.size(), snap.dim());
+  for (const auto& kv : snap.meta().extra) {
     std::printf("  %s: %s\n", kv.first.c_str(), kv.second.c_str());
   }
-  for (const auto& sec : snap->sections) {
-    std::printf("  section %s: %zu bytes\n", sec.first.c_str(),
-                sec.second.size());
+  for (const auto& [tag, bytes] : snap.sections()) {
+    std::printf("  section %.*s: %zu bytes\n", static_cast<int>(tag.size()),
+                tag.data(), bytes.size());
   }
   return 0;
 }
@@ -471,7 +473,6 @@ int RunServe(const ServeArgs& args) {
   sopts.engine.build_ivf = !args.exact;
   sopts.engine.ivf.nprobe = args.nprobe;
   sopts.engine.ivf.pq_m = args.pq_m;
-  sopts.use_mmap = !args.no_mmap;
   sopts.allow_reload = !args.no_reload;
   sopts.shards = args.shards;
   sopts.max_inflight = args.max_inflight;
@@ -540,7 +541,7 @@ int RunServe(const ServeArgs& args) {
       .Str("scenario", state->engine->meta().scenario)
       .Uint("candidates", state->engine->num_candidates())
       .Uint("shards", state->engine->num_shards())
-      .Str("loader", state->mmap ? "mmap" : "copy")
+      .Str("loader", "mmap")
       .Num("load_seconds", state->load_seconds)
       .Str("bind", args.bind)
       .Uint("port", server.port())
@@ -605,8 +606,6 @@ int Main(int argc, char** argv) {
     const char* v = nullptr;
     if (flag == "--exact") {
       args.exact = true;
-    } else if (flag == "--no-mmap") {
-      args.no_mmap = true;
     } else if (flag == "--no-reload") {
       args.no_reload = true;
     } else if (flag == "--bind" && (v = next())) {

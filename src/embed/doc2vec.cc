@@ -80,10 +80,9 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
   const int negative = options_.negative;
   const uint64_t seed = options_.seed;
 
-  // Inner loops call the simd::scalar:: reference kernels, not the
-  // dispatched wrappers: training is golden-locked to bit-identical
-  // embeddings and the inline scalar kernels compile to the historical
-  // loops exactly (see util/simd/kernels.h).
+  // Inner loops call the dispatched kernels, read once here; they are
+  // bit-exact between ISAs (see util/simd/kernels.h).
+  const simd::Kernels& k = simd::Active();
   const size_t dn = static_cast<size_t>(dim);
 
   // Deterministic block-parallel SGD over doc blocks (same schedule and
@@ -136,17 +135,17 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
               label = 0.0f;
             }
             float* const out = bd.words.Row(target, slot_words);
-            const float dot = simd::scalar::Dot(v, out, dn);
+            const float dot = k.dot(v, out, dn);
             const float gr = (label - Sigmoid(dot)) * lr;
             // n == 0 always runs, so assignment replaces the zero-fill.
             if (n == 0) {
-              simd::scalar::ScaleInto(gr, out, grad, dn);
+              k.scale_into(gr, out, grad, dn);
             } else {
-              simd::scalar::Axpy(gr, out, grad, dn);
+              k.axpy(gr, out, grad, dn);
             }
-            simd::scalar::Axpy(gr, v, out, dn);
+            k.axpy(gr, v, out, dn);
           }
-          simd::scalar::Add(grad, v, dn);
+          k.add(grad, v, dn);
         }
       }
       bd.docs.Capture(slot_docs);
@@ -192,7 +191,9 @@ std::vector<float> Doc2Vec::Infer(const std::vector<int32_t>& doc,
   std::vector<float> v(static_cast<size_t>(dim));
   for (float& x : v) x = static_cast<float>((rng.Uniform() - 0.5) / dim);
   const float lr = static_cast<float>(options_.initial_lr);
-  std::vector<float> grad(static_cast<size_t>(dim));
+  const size_t dn = static_cast<size_t>(dim);
+  std::vector<float> grad(dn);
+  const simd::Kernels& k = simd::Active();
   for (int s = 0; s < steps; ++s) {
     for (int32_t w : doc) {
       if (w < 0 || static_cast<size_t>(w) >= word_vocab_size_) continue;
@@ -211,14 +212,11 @@ std::vector<float> Doc2Vec::Infer(const std::vector<int32_t>& doc,
         const float* out = word_out_.data() +
                            static_cast<size_t>(target) *
                                static_cast<size_t>(dim);
-        // Inference pins the scalar kernels too: Infer must stay
-        // bit-stable for a fixed seed regardless of serving dispatch.
-        const float dot =
-            simd::scalar::Dot(v.data(), out, static_cast<size_t>(dim));
+        const float dot = k.dot(v.data(), out, dn);
         const float gr = (label - Sigmoid(dot)) * lr;
-        simd::scalar::Axpy(gr, out, grad.data(), static_cast<size_t>(dim));
+        k.axpy(gr, out, grad.data(), dn);
       }
-      simd::scalar::Add(grad.data(), v.data(), static_cast<size_t>(dim));
+      k.add(grad.data(), v.data(), dn);
     }
   }
   return v;

@@ -35,8 +35,8 @@ struct Doc2VecOptions {
 /// into sparse delta buffers, and deltas merge in canonical block order
 /// (damped by 1/sqrt of each row's per-group touch count — see
 /// block_sharder.h). Fixed-seed output is therefore bit-identical across
-/// runs and for any `threads` setting; `threads` only changes the wall
-/// time.
+/// runs, for any `threads` setting, and for either SIMD ISA; `threads`
+/// only changes the wall time.
 class Doc2Vec {
  public:
   explicit Doc2Vec(Doc2VecOptions options = {});

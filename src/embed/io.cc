@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -44,6 +45,9 @@ util::Status EmbeddingIo::Save(const EmbeddingTable& table,
                                const std::string& path) {
   std::ofstream out(path);
   if (!out) return util::Status::IOError("cannot open " + path);
+  // max_digits10 significant digits make every float round-trip exactly
+  // through Load; the stream default of 6 does not.
+  out.precision(std::numeric_limits<float>::max_digits10);
   out << table.size() << " " << table.dim() << "\n";
   for (const auto& label : table.Labels()) {
     const std::vector<float>* vec = table.Get(label);

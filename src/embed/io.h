@@ -19,7 +19,8 @@ namespace embed {
 /// the text ↔ snapshot conversion helpers).
 class EmbeddingIo {
  public:
-  /// Writes the table; overwrites the file.
+  /// Writes the table; overwrites the file. Values carry max_digits10
+  /// significant digits, so Load reads every float back bit for bit.
   static util::Status Save(const EmbeddingTable& table,
                            const std::string& path);
 

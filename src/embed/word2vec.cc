@@ -122,12 +122,10 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
   const bool cbow = options_.cbow;
   const uint64_t seed = options_.seed;
 
-  // Inner loops below call simd::scalar:: kernels, NOT the dispatched
-  // simd:: wrappers: training is pinned to the sequential reference
-  // kernels (inline, so codegen matches the historical open-coded loops)
-  // because the goldens and the thread-matrix tests assert bit-identical
-  // embeddings, and AVX2 reductions reassociate. SIMD dispatch is a
-  // serving-side play; see util/simd/kernels.h.
+  // Inner loops call the dispatched kernels, read once here. Dot, Axpy,
+  // ScaleInto and Add are bit-exact between ISAs (util/simd/kernels.h),
+  // so the trained vectors are identical on either path.
+  const simd::Kernels& k = simd::Active();
   const size_t dn = static_cast<size_t>(dim);
 
   // Deterministic block-parallel SGD (see the contract in the header and
@@ -208,8 +206,7 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
             std::fill(ws.neu1.begin(), ws.neu1.end(), 0.0f);
             for (int p = lo; p <= hi; ++p) {
               if (p == pos) continue;
-              simd::scalar::Add(bd.syn0.Row(sent[p], slot0), ws.neu1.data(),
-                                dn);
+              k.add(bd.syn0.Row(sent[p], slot0), ws.neu1.data(), dn);
               ++cw;
             }
             if (cw == 0) continue;
@@ -230,20 +227,20 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
                 label = 0.0f;
               }
               float* const out = bd.syn1.Row(target, slot1);
-              const float dot = simd::scalar::Dot(ctx, out, dn);
+              const float dot = k.dot(ctx, out, dn);
               const float grad = (label - FastSigmoid(dot)) * lr;
               // n == 0 always runs (no continue path), so assigning there
               // replaces the upfront zero-fill of the scratch gradient.
               if (n == 0) {
-                simd::scalar::ScaleInto(grad, out, neu1e, dn);
+                k.scale_into(grad, out, neu1e, dn);
               } else {
-                simd::scalar::Axpy(grad, out, neu1e, dn);
+                k.axpy(grad, out, neu1e, dn);
               }
-              simd::scalar::Axpy(grad, ctx, out, dn);
+              k.axpy(grad, ctx, out, dn);
             }
             for (int p = lo; p <= hi; ++p) {
               if (p == pos) continue;
-              simd::scalar::Add(neu1e, bd.syn0.Row(sent[p], slot0), dn);
+              k.add(neu1e, bd.syn0.Row(sent[p], slot0), dn);
             }
           } else {
             // Skip-gram: center predicts each context word.
@@ -264,18 +261,18 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
                   label = 0.0f;
                 }
                 float* const out = bd.syn1.Row(target, slot1);
-                const float dot = simd::scalar::Dot(vin, out, dn);
+                const float dot = k.dot(vin, out, dn);
                 const float grad = (label - FastSigmoid(dot)) * lr;
                 if (n == 0) {
-                  simd::scalar::ScaleInto(grad, out, neu1e, dn);
+                  k.scale_into(grad, out, neu1e, dn);
                 } else {
-                  simd::scalar::Axpy(grad, out, neu1e, dn);
+                  k.axpy(grad, out, neu1e, dn);
                 }
                 // syn1 and syn0 deltas live in distinct buffers, so `out`
-                // never aliases `vin` and the kernel vectorizes cleanly.
-                simd::scalar::Axpy(grad, vin, out, dn);
+                // never aliases `vin`.
+                k.axpy(grad, vin, out, dn);
               }
-              simd::scalar::Add(neu1e, vin, dn);
+              k.add(neu1e, vin, dn);
             }
           }
         }

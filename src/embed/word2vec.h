@@ -50,7 +50,9 @@ struct Word2VecOptions {
 /// of that depends on the thread count, for a fixed seed the trained
 /// vectors are
 /// bit-identical across runs, across machines with the same toolchain,
-/// and for any `threads` setting; `threads` only changes the wall time.
+/// for any `threads` setting, and for either SIMD ISA (the dispatched
+/// kernels are bit-exact, util/simd/kernels.h); `threads` only changes
+/// the wall time.
 /// The block-ordered RNG consumption intentionally differs from the
 /// pre-parallel single-stream sequence, so goldens were recaptured when
 /// the schedule landed (tests/golden_embed_test.cc pins it).

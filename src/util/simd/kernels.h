@@ -12,11 +12,8 @@ namespace simd {
 /// and training (dot/axpy).
 ///
 /// Two implementations live behind one function table:
-///  * scalar  — portable sequential loops, the bit-exact reference. These
-///    are defined inline in this header (namespace simd::scalar) so
-///    callers that *pin* the scalar path — the embedding trainers, whose
-///    goldens and thread-matrix suites lock bit-identity — pay no call
-///    overhead and keep codegen identical to the pre-kernel loops.
+///  * scalar  — portable loops, the reference. These are defined inline in
+///    this header (namespace simd::scalar).
 ///  * avx2    — AVX2+FMA intrinsics (kernels_avx2.cc, compiled with
 ///    -mavx2 -mfma on x86-64 when the compiler supports it), selected at
 ///    runtime only when cpuid reports both features.
@@ -31,27 +28,26 @@ namespace simd {
 ///    for an ISA the CPU/build cannot run are clamped to scalar.
 ///
 /// Parity contract (verified by tests/simd_kernels_test.cc):
-///  * scalar is the reference; its results are bit-exact across runs and
-///    thread counts by construction (plain sequential loops).
-///  * Elementwise kernels (Axpy, Scale, ScaleInto, Add) differ from
-///    scalar by at most 1 ulp per element on the AVX2 path (FMA fuses the
-///    multiply-add rounding).
-///  * Reductions (Dot, SquaredNorm, Dot8, AdcScan) reassociate the sum
-///    into lanes, so they carry the usual O(eps * n) accumulation
-///    difference; tests bound it relative to the scalar value.
+///  * Dot, Axpy, Scale, ScaleInto and Add are bit-exact between ISAs.
+///    Dot sums in one canonical order that both implementations follow
+///    (see scalar::Dot), and no path fuses a multiply into an add: the
+///    AVX2 kernels multiply then add, and the library builds with
+///    -ffp-contract=off so the compiler cannot fuse the scalar loops.
+///    The trainers (Word2Vec, Doc2Vec) dispatch through Active() on the
+///    strength of this, and their output is byte-identical on either ISA.
+///  * SquaredNorm, Dot8 and AdcScan run only in serving. Their AVX2 path
+///    keeps FMA and sums in lanes, so it differs from scalar by the usual
+///    O(eps * n) accumulation error; tests bound it relative to the
+///    scalar value, and serving consumers (ExactIndex, IvfIndex, k-means)
+///    are tested against behavioral thresholds.
 ///  * NaN propagation matches IEEE: a NaN anywhere in the inputs yields a
 ///    NaN reduction on both paths. Denormals are computed, not flushed
 ///    (no DAZ/FTZ is ever set by this library).
-///
-/// Because the AVX2 reductions are NOT bit-equal to scalar, anything
-/// whose output is golden-locked (Word2Vec/Doc2Vec training) calls
-/// simd::scalar::* directly and never dispatches; serving-side consumers
-/// (ExactIndex, IvfIndex, k-means) dispatch through Active() and are
-/// tested against behavioral thresholds instead of bit-identity.
 struct Kernels {
   /// Human-readable ISA name ("scalar", "avx2").
   const char* name;
-  /// Sequential dot product of two n-float slices.
+  /// Dot product of two n-float slices in the canonical order (see
+  /// scalar::Dot); bit-exact across ISAs.
   float (*dot)(const float* a, const float* b, size_t n);
   /// y += a * x (n floats).
   void (*axpy)(float a, const float* x, float* y, size_t n);
@@ -100,13 +96,33 @@ bool ForcedScalarByEnv();
 /// against concurrent Active() users mid-query; call between workloads.
 Isa SetActiveIsa(Isa isa);
 
-/// Portable reference kernels, inline so bit-identity-pinned callers
-/// (the trainers) inline them exactly like the historical loops.
+/// Portable reference kernels.
 namespace scalar {
 
+/// The canonical dot order, which the AVX2 kernel follows lane for lane:
+/// two 8-lane accumulators over 16-float steps (acc0[j] takes element
+/// i+j, acc1[j] takes i+8+j), one 8-float step into acc0, the lane-wise
+/// sum acc0 + acc1, the fixed tree
+/// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then the tail in order.
 inline float Dot(const float* a, const float* b, size_t n) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  float acc0[8] = {};
+  float acc1[8] = {};
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    for (size_t j = 0; j < 8; ++j) {
+      acc0[j] += a[i + j] * b[i + j];
+      acc1[j] += a[i + 8 + j] * b[i + 8 + j];
+    }
+  }
+  if (i + 8 <= n) {
+    for (size_t j = 0; j < 8; ++j) acc0[j] += a[i + j] * b[i + j];
+    i += 8;
+  }
+  float l[8];
+  for (size_t j = 0; j < 8; ++j) l[j] = acc0[j] + acc1[j];
+  float acc =
+      ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+  for (; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
 
@@ -132,8 +148,8 @@ inline float SquaredNorm(const float* x, size_t n) {
   return acc;
 }
 
-/// Eight independent scalar dots — bit-identical to calling Dot eight
-/// times, so forced-scalar runs reproduce the untiled code exactly.
+/// Eight independent dots — bit-identical to calling Dot eight times, so
+/// forced-scalar runs reproduce the untiled code exactly.
 inline void Dot8(const float* const rows[8], const float* v, size_t n,
                  float out[8]) {
   for (int q = 0; q < 8; ++q) out[q] = Dot(rows[q], v, n);

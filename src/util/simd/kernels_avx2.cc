@@ -4,6 +4,12 @@
 // features — nothing here runs at static-init time, and the dispatcher
 // never installs this table on an unsupported CPU.
 //
+// Dot, Axpy, Scale, ScaleInto and Add are bit-exact with the scalar
+// reference (the trainers dispatch through them): they multiply and add
+// in separate roundings, Dot follows the canonical order of scalar::Dot,
+// and -ffp-contract=off keeps the compiler from fusing the scalar tails.
+// SquaredNorm, Dot8 and AdcScan run only in serving and keep FMA.
+//
 // All loads/stores are unaligned (loadu/storeu): serving feeds these
 // kernels rows gathered from mmap'd snapshot payloads that are only
 // guaranteed 4-byte aligned.
@@ -19,8 +25,8 @@ namespace internal {
 
 namespace {
 
-/// Horizontal sum of one 8-lane register. The reduction order is fixed by
-/// the instruction sequence, so results are deterministic per ISA.
+/// Horizontal sum of one 8-lane register in the fixed tree
+/// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) that scalar::Dot reproduces.
 inline float HSum(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -31,20 +37,22 @@ inline float HSum(__m256 v) {
 }
 
 float DotAvx2(const float* a, const float* b, size_t n) {
-  // Two accumulators hide the FMA latency chain; lane sums reassociate
-  // the reduction, so this is parity-bounded (not bit-equal) vs scalar.
+  // The canonical order of scalar::Dot: two accumulators hide the add
+  // latency chain, the multiply rounds before the add (no FMA), so the
+  // result is bit-equal to scalar.
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
+    acc0 = _mm256_add_ps(
+        acc0, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_loadu_ps(a + i + 8),
+                                             _mm256_loadu_ps(b + i + 8)));
   }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
+  if (i + 8 <= n) {
+    acc0 = _mm256_add_ps(
+        acc0, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    i += 8;
   }
   float acc = HSum(_mm256_add_ps(acc0, acc1));
   for (; i < n; ++i) acc += a[i] * b[i];
@@ -55,8 +63,8 @@ void AxpyAvx2(float a, const float* x, float* y, size_t n) {
   const __m256 va = _mm256_set1_ps(a);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 vy =
-        _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i));
+    const __m256 vy = _mm256_add_ps(
+        _mm256_loadu_ps(y + i), _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
     _mm256_storeu_ps(y + i, vy);
   }
   for (; i < n; ++i) y[i] += a * x[i];

@@ -15,6 +15,9 @@
 //    tolerance elsewhere (see ExpectGolden) — byte-identical for
 //    threads ∈ {1, 2, 8}, including corpora spanning multiple merge
 //    groups;
+//  * Word2Vec and Doc2Vec train byte-identical vectors under the scalar
+//    and the AVX2 kernel tables (the trainers dispatch, and the kernels
+//    they call are bit-exact between ISAs);
 //  * the boundary-form negative sampler emits the same id sequence as
 //    the classic materialized table it replaced.
 
@@ -23,12 +26,14 @@
 #include <cmath>
 #include <cstring>
 
+#include "embed/doc2vec.h"
 #include "embed/negative_sampler.h"
 #include "embed/random_walk.h"
 #include "embed/sentence_corpus.h"
 #include "embed/word2vec.h"
 #include "graph/graph.h"
 #include "util/rng.h"
+#include "util/simd/kernels.h"
 
 namespace tdmatch {
 namespace embed {
@@ -272,6 +277,122 @@ TEST(GoldenWord2VecTest, EndToEndWalkCorpusTrainingIsDeterministic) {
   EXPECT_EQ(base, train_once(2));
   EXPECT_EQ(base, train_once(4));
   EXPECT_EQ(base, train_once(8));
+}
+
+// ---------------------------------------------------------------------------
+// Cross-ISA: the trainers dispatch, and their output must not depend on it
+// ---------------------------------------------------------------------------
+
+/// Installs an ISA for one scope and restores the previous one after.
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(simd::Isa isa) : previous_(simd::ActiveIsa()) {
+    EXPECT_EQ(simd::SetActiveIsa(isa), isa);
+  }
+  ~ScopedIsa() { simd::SetActiveIsa(previous_); }
+  ScopedIsa(const ScopedIsa&) = delete;
+  ScopedIsa& operator=(const ScopedIsa&) = delete;
+
+ private:
+  simd::Isa previous_;
+};
+
+/// Runs `train` once under the scalar table and once under AVX2 and
+/// expects the two float vectors to be byte-identical.
+template <typename Train>
+void ExpectSameBytesOnBothIsas(Train train, const std::string& what) {
+  std::vector<float> scalar, avx2;
+  {
+    ScopedIsa isa(simd::Isa::kScalar);
+    scalar = train();
+  }
+  {
+    ScopedIsa isa(simd::Isa::kAvx2);
+    avx2 = train();
+  }
+  ASSERT_EQ(scalar.size(), avx2.size()) << what;
+  ASSERT_FALSE(scalar.empty()) << what;
+  EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(),
+                           scalar.size() * sizeof(float)))
+      << what;
+}
+
+bool Avx2Available() { return simd::BuildHasAvx2() && simd::CpuHasAvx2Fma(); }
+
+/// 600 sentences of 8 tokens over a 40-word vocabulary with skewed
+/// frequencies, so subsampling keeps and drops different tokens.
+std::vector<std::vector<int32_t>> CrossIsaSentences() {
+  util::Rng rng(31);
+  std::vector<std::vector<int32_t>> out(600);
+  for (auto& sentence : out) {
+    for (int t = 0; t < 8; ++t) {
+      const uint64_t r = rng.UniformInt(40);
+      sentence.push_back(static_cast<int32_t>(r * r / 40));
+    }
+  }
+  return out;
+}
+
+TEST(CrossIsaTest, Word2VecIsByteIdenticalOnScalarAndAvx2) {
+  if (!Avx2Available()) GTEST_SKIP() << "needs an AVX2+FMA build and CPU";
+  const auto sents = CrossIsaSentences();
+  for (bool cbow : {false, true}) {
+    for (int dim : {13, 64}) {
+      for (size_t threads : {1u, 4u}) {
+        Word2VecOptions o;
+        o.dim = dim;
+        o.epochs = 2;
+        o.threads = threads;
+        o.seed = 5;
+        o.subsample = 1e-2;
+        o.cbow = cbow;
+        auto train = [&] {
+          Word2Vec w2v(o);
+          EXPECT_TRUE(w2v.Train(sents, 40).ok());
+          std::vector<float> all;
+          for (int32_t id = 0; id < 40; ++id) {
+            auto v = w2v.VectorCopy(id);
+            all.insert(all.end(), v.begin(), v.end());
+          }
+          return all;
+        };
+        ExpectSameBytesOnBothIsas(
+            train, std::string(cbow ? "cbow" : "skipgram") +
+                       " dim=" + std::to_string(dim) +
+                       " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(CrossIsaTest, Doc2VecTrainAndInferAreByteIdenticalOnScalarAndAvx2) {
+  if (!Avx2Available()) GTEST_SKIP() << "needs an AVX2+FMA build and CPU";
+  const auto docs = CrossIsaSentences();
+  const std::vector<int32_t> unseen = {3, 1, 4, 1, 5, 9, 2, 6};
+  for (int dim : {13, 64}) {
+    for (size_t threads : {1u, 4u}) {
+      Doc2VecOptions o;
+      o.dim = dim;
+      o.epochs = 3;
+      o.threads = threads;
+      o.seed = 9;
+      auto train = [&] {
+        Doc2Vec d2v(o);
+        EXPECT_TRUE(d2v.Train(docs, 40).ok());
+        std::vector<float> all;
+        for (size_t d = 0; d < d2v.num_docs(); ++d) {
+          auto v = d2v.DocVector(d);
+          all.insert(all.end(), v.begin(), v.end());
+        }
+        auto inferred = d2v.Infer(unseen);
+        all.insert(all.end(), inferred.begin(), inferred.end());
+        return all;
+      };
+      ExpectSameBytesOnBothIsas(train, "doc2vec dim=" + std::to_string(dim) +
+                                           " threads=" +
+                                           std::to_string(threads));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

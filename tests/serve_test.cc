@@ -212,7 +212,18 @@ TEST(SnapshotTest, ConvertsTextFormatBothWays) {
       serve::SnapshotIo::ConvertSnapshotToText(snap_path, text2).ok());
   auto back = embed::EmbeddingIo::Load(text2);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->size(), 3u);
+  const embed::EmbeddingTable source = AwkwardTable();
+  ASSERT_EQ(back->size(), source.size());
+  // Text -> snapshot -> text must not lose a bit of any vector.
+  for (const std::string& label : source.Labels()) {
+    const std::vector<float>* want = source.Get(label);
+    const std::vector<float>* got = back->Get(label);
+    ASSERT_NE(got, nullptr) << label;
+    ASSERT_EQ(got->size(), want->size()) << label;
+    EXPECT_EQ(0, std::memcmp(got->data(), want->data(),
+                             want->size() * sizeof(float)))
+        << label;
+  }
   std::remove(text1.c_str());
   std::remove(snap_path.c_str());
   std::remove(text2.c_str());

@@ -1,26 +1,27 @@
 // Unit tests for the runtime-dispatched SIMD kernel layer
 // (util/simd/kernels.h). The parity contract under test:
 //
-//  * scalar is the bit-exact reference (sequential loops);
-//  * AVX2 elementwise kernels (axpy/scale/scale_into/add) match scalar to
-//    <= 1 ulp per element (FMA fuses one rounding);
-//  * AVX2 reductions (dot/squared_norm/dot8/adc_scan) reassociate and are
-//    bounded relative to the scalar value;
-//  * odd lengths exercise every remainder-tail path (0..33);
-//  * all kernels accept unaligned inputs (mmap payloads are only 4-byte
-//    aligned);
+//  * Dot, Axpy, Scale, ScaleInto and Add are bit-exact between the
+//    dispatched table and the scalar reference (memcmp equality): Dot
+//    follows one canonical summation order on both paths and nothing
+//    fuses a multiply into an add. Every length in [0, 67] runs, from base
+//    pointers offset by 1-3 floats (mmap payloads are only 4-byte
+//    aligned), on plain, denormal and NaN inputs;
+//  * the serving-only reductions (squared_norm/dot8/adc_scan) keep FMA
+//    on AVX2 and are bounded relative to the scalar value;
 //  * NaN propagates through reductions on both paths; denormals are
 //    computed, not flushed.
 //
 // When the host CPU (or the build) has no AVX2+FMA, the dispatched table
-// is the scalar table and the parity tests degenerate to exact equality —
-// they still run, so the suite is meaningful on any machine.
+// is the scalar table and the tolerance tests degenerate to exact
+// equality — they still run, so the suite is meaningful on any machine.
 
 #include "util/simd/kernels.h"
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -81,64 +82,94 @@ class SimdParityTest : public ::testing::Test {
   Isa original_;
 };
 
-TEST_F(SimdParityTest, DotAllLengthsIncludingTails) {
-  // Offset by 1 float from a fresh allocation: deliberately not 32-byte
-  // aligned, like a row in an mmap'd snapshot payload.
-  const auto a_buf = RandomVec(64, 11);
-  const auto b_buf = RandomVec(64, 22);
-  const float* a = a_buf.data() + 1;
-  const float* b = b_buf.data() + 3;
-  for (size_t n = 0; n <= 33; ++n) {
-    const float ref = scalar::Dot(a, b, n);
-    const float got = Active().dot(a, b, n);
-    EXPECT_NEAR(got, ref, ReductionTol(n)) << "n=" << n;
+/// Longest length the bit-exact checks cover: two 16-float steps, one
+/// 8-float step and every tail length pass through it.
+constexpr size_t kMaxExactN = 67;
+
+/// Inputs for the bit-exact checks: plain values in [-1, 1], the same with
+/// every fifth value a denormal, and the same with one quiet NaN. Each is
+/// long enough for kMaxExactN floats from an offset of up to 3.
+std::vector<std::vector<float>> ExactInputs(uint64_t seed) {
+  const size_t len = kMaxExactN + 3;
+  std::vector<float> plain = RandomVec(len, seed);
+  std::vector<float> denormal = plain;
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  for (size_t i = 0; i < len; i += 5) {
+    denormal[i] = tiny * static_cast<float>(i + 1) * (i % 2 ? -1.0f : 1.0f);
   }
+  std::vector<float> nan = plain;
+  nan[len / 2] = std::numeric_limits<float>::quiet_NaN();
+  return {plain, denormal, nan};
 }
 
-TEST_F(SimdParityTest, DotLargeUnaligned) {
-  const auto a = RandomVec(1001, 5);
-  const auto b = RandomVec(1001, 6);
-  const float ref = scalar::Dot(a.data() + 1, b.data() + 1, 1000);
-  const float got = Active().dot(a.data() + 1, b.data() + 1, 1000);
-  EXPECT_NEAR(got, ref, ReductionTol(1000) * std::abs(ref) + 1e-4);
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, 4) == 0; }
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-TEST_F(SimdParityTest, AxpyElementwiseOneUlp) {
-  const auto x = RandomVec(67, 7);
-  for (size_t n : {0u, 1u, 7u, 8u, 9u, 31u, 67u}) {
-    auto y_ref = RandomVec(67, 8);
-    auto y_got = y_ref;
-    scalar::Axpy(0.37f, x.data(), y_ref.data(), n);
-    Active().axpy(0.37f, x.data(), y_got.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      // FMA differs from mul+add by at most one rounding of the product.
-      EXPECT_NEAR(y_got[i], y_ref[i],
-                  2.0f * std::abs(y_ref[i]) * 1.2e-7f + 1e-12f)
-          << "n=" << n << " i=" << i;
+/// Runs `check(x, y, n, where)` for every input kind, every base offset
+/// in [1, 3] (y offset by 4 minus x's) and every n in [0, 67].
+template <typename Check>
+void ForEachExactCase(Check check) {
+  const auto xs = ExactInputs(21);
+  const auto ys = ExactInputs(22);
+  for (size_t kind = 0; kind < xs.size(); ++kind) {
+    for (size_t off = 1; off <= 3; ++off) {
+      const float* x = xs[kind].data() + off;
+      const float* y = ys[kind].data() + (4 - off);
+      for (size_t n = 0; n <= kMaxExactN; ++n) {
+        check(x, y, n,
+              "kind=" + std::to_string(kind) + " off=" + std::to_string(off) +
+                  " n=" + std::to_string(n));
+      }
     }
   }
 }
 
-TEST_F(SimdParityTest, ScaleAndScaleIntoAndAddExact) {
-  // No FMA in these kernels: lane ops perform the identical single
-  // rounding as scalar, so results are bit-exact on every path.
-  const auto x = RandomVec(41, 9);
-  for (size_t n : {0u, 1u, 8u, 15u, 41u}) {
-    auto a_ref = x, a_got = x;
-    scalar::Scale(-1.7f, a_ref.data(), n);
-    Active().scale(-1.7f, a_got.data(), n);
-    EXPECT_EQ(0, std::memcmp(a_ref.data(), a_got.data(), n * 4)) << n;
+TEST_F(SimdParityTest, DotIsBitExact) {
+  ForEachExactCase([](const float* a, const float* b, size_t n,
+                      const std::string& where) {
+    EXPECT_TRUE(SameBits(Active().dot(a, b, n), scalar::Dot(a, b, n)))
+        << where;
+  });
+}
 
-    std::vector<float> b_ref(41, 0.f), b_got(41, 0.f);
-    scalar::ScaleInto(2.5f, x.data(), b_ref.data(), n);
-    Active().scale_into(2.5f, x.data(), b_got.data(), n);
-    EXPECT_EQ(0, std::memcmp(b_ref.data(), b_got.data(), n * 4)) << n;
+TEST_F(SimdParityTest, DotLargeUnalignedIsBitExact) {
+  const auto a = RandomVec(1001, 5);
+  const auto b = RandomVec(1001, 6);
+  EXPECT_TRUE(SameBits(Active().dot(a.data() + 1, b.data() + 1, 1000),
+                       scalar::Dot(a.data() + 1, b.data() + 1, 1000)));
+}
 
-    auto c_ref = RandomVec(41, 10), c_got = c_ref;
-    scalar::Add(x.data(), c_ref.data(), n);
-    Active().add(x.data(), c_got.data(), n);
-    EXPECT_EQ(0, std::memcmp(c_ref.data(), c_got.data(), n * 4)) << n;
-  }
+TEST_F(SimdParityTest, ElementwiseKernelsAreBitExact) {
+  ForEachExactCase([](const float* x, const float* y, size_t n,
+                      const std::string& where) {
+    std::vector<float> ref(y, y + n), got(y, y + n);
+    scalar::Axpy(0.37f, x, ref.data(), n);
+    Active().axpy(0.37f, x, got.data(), n);
+    EXPECT_TRUE(SameBits(ref, got)) << "axpy " << where;
+
+    ref.assign(x, x + n);
+    got.assign(x, x + n);
+    scalar::Scale(-1.7f, ref.data(), n);
+    Active().scale(-1.7f, got.data(), n);
+    EXPECT_TRUE(SameBits(ref, got)) << "scale " << where;
+
+    ref.assign(n, 0.0f);
+    got.assign(n, 0.0f);
+    scalar::ScaleInto(2.5f, x, ref.data(), n);
+    Active().scale_into(2.5f, x, got.data(), n);
+    EXPECT_TRUE(SameBits(ref, got)) << "scale_into " << where;
+
+    ref.assign(y, y + n);
+    got.assign(y, y + n);
+    scalar::Add(x, ref.data(), n);
+    Active().add(x, got.data(), n);
+    EXPECT_TRUE(SameBits(ref, got)) << "add " << where;
+  });
 }
 
 TEST_F(SimdParityTest, SquaredNormParity) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,7 +28,6 @@ int StatusToHttp(const util::Status& status) {
   switch (status.code()) {
     case util::StatusCode::kInvalidArgument: return 400;
     case util::StatusCode::kNotFound: return 404;
-    case util::StatusCode::kIOError: return 500;
     default: return 500;
   }
 }
@@ -71,6 +71,108 @@ void AppendMatches(const std::vector<ScoredMatch>& matches,
   w->EndArray();
 }
 
+/// A JSON array of label strings, each resolved; the error names `field`.
+util::Result<std::vector<std::string>> ResolveLabels(
+    const util::JsonValue& array, const char* field,
+    const SnapshotMeta& meta) {
+  const auto not_strings = [field] {
+    return util::Status::InvalidArgument(
+        util::StrFormat("'%s' must be an array of strings", field));
+  };
+  if (!array.is_array()) return not_strings();
+  std::vector<std::string> names;
+  names.reserve(array.items().size());
+  for (const auto& item : array.items()) {
+    if (!item.is_string()) return not_strings();
+    names.push_back(ResolveLabel(item.string_value(), meta));
+  }
+  return names;
+}
+
+using QueryResults = std::vector<util::Result<std::vector<ScoredMatch>>>;
+
+/// Runs `query` on `engine`: one result per batch item, otherwise one.
+/// A traced request records the engine's scatter and merge stages; a
+/// batch merges each query inside its worker, so it has no merge stage.
+QueryResults Execute(const ShardedQueryEngine& engine,
+                     const QueryRequest& query, size_t nprobe,
+                     util::obs::Trace* trace) {
+  ShardedQueryEngine::QueryTiming timing;
+  ShardedQueryEngine::QueryTiming* timing_out =
+      trace != nullptr ? &timing : nullptr;
+  const bool batch = query.shape == QueryRequest::Shape::kLabels;
+  QueryResults results;
+  if (batch) {
+    const util::StopWatch batch_watch;
+    results = engine.QueryBatch(query.names, query.k, query.mode, nprobe);
+    timing.scatter_ms = batch_watch.ElapsedMillis();
+  } else if (query.shape == QueryRequest::Shape::kVector) {
+    results.push_back(engine.QueryVector(query.vector, query.k, query.mode,
+                                         nprobe, timing_out));
+  } else if (query.allowed.has_value()) {
+    results.push_back(engine.QueryFiltered(query.names[0], *query.allowed,
+                                           query.k, timing_out));
+  } else {
+    results.push_back(engine.Query(query.names[0], query.k, query.mode,
+                                   nprobe, timing_out));
+  }
+  if (trace != nullptr) {
+    trace->AddSpan("scatter", timing.scatter_ms);
+    if (!batch) trace->AddSpan("merge", timing.merge_ms);
+  }
+  return results;
+}
+
+/// The 200 body for an executed `query`.
+std::string Render(const EngineState& state, const QueryRequest& query,
+                   const QueryResults& results, util::obs::Trace* trace) {
+  util::obs::Trace::Span serialize_span(trace, "serialize");
+  util::JsonWriter w;
+  w.BeginObject()
+      .Key("snapshot_version").Value(state.version)
+      .Key("scenario").Value(state.engine->meta().scenario);
+  if (query.shape == QueryRequest::Shape::kLabels) {
+    w.Key("results").BeginArray();
+    for (size_t i = 0; i < results.size(); ++i) {
+      w.BeginObject().Key("label").Value(query.names[i]);
+      if (results[i].ok()) {
+        AppendMatches(*results[i], &w);
+      } else {
+        w.Key("error").Value(results[i].status().ToString());
+      }
+      w.EndObject();
+    }
+    w.EndArray();
+  } else {
+    if (query.shape == QueryRequest::Shape::kLabel) {
+      w.Key("label").Value(query.names[0]);
+    }
+    AppendMatches(*results[0], &w);
+  }
+  w.EndObject();
+  return w.str();
+}
+
+/// Reads query parameter `name` into `*value`, which keeps its default
+/// when the parameter is absent. The whole value must parse as a finite
+/// positive number up to `max`, and a whole one when `integer`; otherwise
+/// this returns false and the caller answers 400.
+bool ReadPositiveParam(const std::string& query, const char* name,
+                       double max, bool integer, double* value) {
+  const std::string text = QueryParam(query, name);
+  if (text.empty()) return true;
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (std::isspace(static_cast<unsigned char>(text[0])) != 0 ||
+      end != text.c_str() + text.size() || !std::isfinite(parsed) ||
+      parsed <= 0 || parsed > max ||
+      (integer && parsed != std::floor(parsed))) {
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
 std::string CompilerId() {
 #if defined(__clang__)
   return util::StrFormat("clang-%d.%d.%d", __clang_major__, __clang_minor__,
@@ -84,6 +186,93 @@ std::string CompilerId() {
 }
 
 }  // namespace
+
+util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
+                                             const ServiceOptions& options,
+                                             const SnapshotMeta& meta) {
+  using util::Status;
+  auto parsed = util::JsonParse(body);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("bad request body: " +
+                                   parsed.status().message());
+  }
+  const util::JsonValue& root = *parsed;
+  if (!root.is_object()) {
+    return Status::InvalidArgument("request body must be a JSON object");
+  }
+  QueryRequest query;
+  if (const util::JsonValue* kv = root.Find("k"); kv != nullptr) {
+    const double kd = kv->number_value();
+    if (!kv->is_number() || kd < 0 || kd > 1e6 || kd != std::floor(kd)) {
+      return Status::InvalidArgument("'k' must be an integer in [0, 1e6]");
+    }
+    query.k = static_cast<size_t>(kd);
+  }
+  if (const util::JsonValue* mv = root.Find("mode"); mv != nullptr) {
+    if (!mv->is_string() || (mv->string_value() != "approx" &&
+                             mv->string_value() != "exact")) {
+      return Status::InvalidArgument(
+          "'mode' must be \"approx\" or \"exact\"");
+    }
+    if (mv->string_value() == "exact") query.mode = SearchMode::kExact;
+  }
+
+  const util::JsonValue* label = root.Find("label");
+  const util::JsonValue* labels = root.Find("labels");
+  const util::JsonValue* vector = root.Find("vector");
+  const util::JsonValue* allowed = root.Find("allowed");
+  if ((label != nullptr) + (labels != nullptr) + (vector != nullptr) != 1) {
+    return Status::InvalidArgument(
+        "provide exactly one of 'label', 'labels', 'vector'");
+  }
+  if (allowed != nullptr && label == nullptr) {
+    return Status::InvalidArgument(
+        "'allowed' requires a single 'label' query");
+  }
+  // The debug delay is only honored with allow_debug_delay.
+  if (const util::JsonValue* dv = root.Find("delay_ms");
+      dv != nullptr && options.allow_debug_delay) {
+    if (!dv->is_number() || dv->number_value() < 0.0 ||
+        dv->number_value() > 10000.0) {
+      return Status::InvalidArgument(
+          "'delay_ms' must be a number in [0, 10000]");
+    }
+    query.delay_ms = dv->number_value();
+  }
+
+  if (labels != nullptr) {
+    query.shape = QueryRequest::Shape::kLabels;
+    if (labels->is_array() && labels->items().size() > options.max_batch) {
+      return Status::InvalidArgument(
+          util::StrFormat("batch of %zu exceeds the %zu query limit",
+                          labels->items().size(), options.max_batch));
+    }
+    TDM_ASSIGN_OR_RETURN(query.names, ResolveLabels(*labels, "labels", meta));
+  } else if (label != nullptr) {
+    if (!label->is_string()) {
+      return Status::InvalidArgument("'label' must be a string");
+    }
+    query.names.push_back(ResolveLabel(label->string_value(), meta));
+    if (allowed != nullptr) {
+      TDM_ASSIGN_OR_RETURN(query.allowed,
+                           ResolveLabels(*allowed, "allowed", meta));
+    }
+  } else {
+    query.shape = QueryRequest::Shape::kVector;
+    const auto& items = vector->items();
+    if (!vector->is_array() || items.empty() ||
+        !std::all_of(items.begin(), items.end(),
+                     [](const util::JsonValue& v) { return v.is_number(); })) {
+      return Status::InvalidArgument(
+          "'vector' must be a non-empty number array");
+    }
+    query.vector.reserve(items.size());
+    for (const auto& item : items) {
+      query.vector.push_back(static_cast<float>(item.number_value()));
+    }
+  }
+  return query;
+}
 
 // ---------------------------------------------------------------------------
 // MatchService
@@ -429,39 +618,36 @@ HttpResponse MatchService::ShedResponse() {
 }
 
 HttpResponse MatchService::HandleQuery(const HttpRequest& request) {
-  // SLO accounting wraps the whole request: availability counts 5xx
-  // against the budget (4xx is the client's fault, 429 is protection
-  // working), latency counts end-to-end wall time against the configured
-  // budget. Shed and cache-hit requests count too — the user saw them.
   util::StopWatch watch;
-  HttpResponse response = HandleQueryDispatch(request);
-  slo_->Record(NowSeconds(), response.status < 500,
-               options_.latency_budget_ms <= 0 ||
-                   watch.ElapsedMillis() <= options_.latency_budget_ms);
-  return response;
-}
-
-HttpResponse MatchService::HandleQueryDispatch(const HttpRequest& request) {
   // Trace decision up front: one sampler branch for the untraced fast
   // path. slow_query_ms arms tracing on every request (slowness is only
   // known after the fact), but emits a line solely for slow ones.
   const bool sampled = sampler_.ShouldSample();
-  const bool traced = sampled || options_.slow_query_ms > 0.0;
   const std::string& client_id = request.Header("x-request-id");
-  if (!traced) {
-    HttpResponse response = HandleQueryTraced(request, nullptr);
-    if (!client_id.empty()) {
-      response.headers.emplace_back("X-Request-Id", client_id);
-    }
-    return response;
+  std::optional<util::obs::Trace> trace;
+  if (sampled || options_.slow_query_ms > 0.0) {
+    trace.emplace(client_id.empty() ? util::obs::GenerateTraceId()
+                                    : client_id);
   }
-  util::obs::Trace trace(client_id.empty() ? util::obs::GenerateTraceId()
-                                           : client_id);
-  const std::shared_ptr<const EngineState> pinned = state();
-  HttpResponse response = HandleQueryTraced(request, &trace);
-  FinishRequestTrace(&trace, sampled, response.status,
-                     pinned != nullptr ? pinned->version : 0);
-  response.headers.emplace_back("X-Request-Id", trace.id());
+  const std::shared_ptr<const EngineState> state = this->state();
+  HttpResponse response =
+      state == nullptr
+          ? ErrorResponse(503, "no snapshot loaded")
+          : AnswerQuery(request.body, *state,
+                        trace.has_value() ? &*trace : nullptr, watch);
+  if (trace.has_value()) {
+    FinishRequestTrace(&*trace, sampled, response.status,
+                       state != nullptr ? state->version : 0);
+  }
+  const std::string& id = trace.has_value() ? trace->id() : client_id;
+  if (!id.empty()) response.headers.emplace_back("X-Request-Id", id);
+  // SLO accounting wraps the whole request: availability counts 5xx
+  // against the budget (4xx is the client's fault, 429 is protection
+  // working), latency counts end-to-end wall time against the configured
+  // budget. Shed and cache-hit requests count too — the user saw them.
+  slo_->Record(NowSeconds(), response.status < 500,
+               options_.latency_budget_ms <= 0 ||
+                   watch.ElapsedMillis() <= options_.latency_budget_ms);
   return response;
 }
 
@@ -506,250 +692,78 @@ void MatchService::FinishRequestTrace(util::obs::Trace* trace, bool sampled,
   w.EndArray();
 }
 
-HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
-                                             util::obs::Trace* trace) {
-  util::StopWatch watch;
-  const std::shared_ptr<const EngineState> state = this->state();
-  if (state == nullptr) {
-    return ErrorResponse(503, "no snapshot loaded");
-  }
-  const ShardedQueryEngine& engine = *state->engine;
-
-  // --- parse + validate ----------------------------------------------------
+HttpResponse MatchService::AnswerQuery(std::string_view body,
+                                       const EngineState& state,
+                                       util::obs::Trace* trace,
+                                       const util::StopWatch& watch) {
+  const ShardedQueryEngine& engine = *state.engine;
   util::obs::Trace::Span parse_span(trace, "parse");
-  auto parsed = util::JsonParse(request.body);
+  util::Result<QueryRequest> parsed =
+      ParseQueryRequest(body, options_, engine.meta());
   if (!parsed.ok()) {
     errors_->Inc();
-    return ErrorResponse(400, "bad request body: " +
-                                  parsed.status().message());
+    return ErrorResponse(400, parsed.status().message());
   }
-  const util::JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    errors_->Inc();
-    return ErrorResponse(400, "request body must be a JSON object");
-  }
-
-  // --- common knobs -------------------------------------------------------
-  size_t k = 0;
-  if (const util::JsonValue* kv = root.Find("k"); kv != nullptr) {
-    const double kd = kv->number_value();
-    if (!kv->is_number() || kd < 0 || kd > 1e6 ||
-        kd != std::floor(kd)) {
-      errors_->Inc();
-      return ErrorResponse(400, "'k' must be an integer in [0, 1e6]");
-    }
-    k = static_cast<size_t>(kd);
-  }
-  SearchMode mode = SearchMode::kApprox;
-  if (const util::JsonValue* mv = root.Find("mode"); mv != nullptr) {
-    if (!mv->is_string() || (mv->string_value() != "approx" &&
-                             mv->string_value() != "exact")) {
-      errors_->Inc();
-      return ErrorResponse(400, "'mode' must be \"approx\" or \"exact\"");
-    }
-    if (mv->string_value() == "exact") mode = SearchMode::kExact;
-  }
-
-  const util::JsonValue* label = root.Find("label");
-  const util::JsonValue* labels = root.Find("labels");
-  const util::JsonValue* vector = root.Find("vector");
-  const util::JsonValue* allowed = root.Find("allowed");
-  const int selectors = (label != nullptr) + (labels != nullptr) +
-                        (vector != nullptr);
-  if (selectors != 1) {
-    errors_->Inc();
-    return ErrorResponse(400, "provide exactly one of 'label', 'labels', "
-                              "'vector'");
-  }
-  if (allowed != nullptr && label == nullptr) {
-    errors_->Inc();
-    return ErrorResponse(400, "'allowed' requires a single 'label' query");
-  }
-
-  // --- debug delay (only honored with allow_debug_delay) -----------------
-  double delay_ms = 0.0;
-  if (const util::JsonValue* dv = root.Find("delay_ms");
-      dv != nullptr && options_.allow_debug_delay) {
-    if (!dv->is_number() || dv->number_value() < 0.0 ||
-        dv->number_value() > 10000.0) {
-      errors_->Inc();
-      return ErrorResponse(400, "'delay_ms' must be a number in [0, 10000]");
-    }
-    delay_ms = dv->number_value();
-  }
-
-  // --- per-query nprobe from the latency-budget auto-tuner ----------------
+  const QueryRequest& query = *parsed;
+  // Per-query nprobe from the latency-budget auto-tuner.
   size_t nprobe = 0;
   if (tuner_ != nullptr && tuner_->enabled() &&
-      mode == SearchMode::kApprox && engine.has_ivf()) {
+      query.mode == SearchMode::kApprox && engine.has_ivf()) {
     nprobe = std::max<size_t>(
         1, std::min(tuner_->nprobe(), engine.max_nprobe()));
   }
   parse_span.Close();
 
-  // --- result cache (single-label queries; the hot-query shape) -----------
+  // Result cache (unfiltered single-label queries; the hot-query shape).
   // A hit is served before admission: it costs one striped-map lookup, no
   // engine work, so shedding it would protect nothing.
   std::string cache_key;
-  if (cache_.enabled() && label != nullptr && label->is_string() &&
-      allowed == nullptr) {
+  if (cache_.enabled() && query.shape == QueryRequest::Shape::kLabel &&
+      !query.allowed.has_value()) {
     util::obs::Trace::Span cache_span(trace, "cache");
-    cache_key = util::StrFormat(
-        "%s|k=%zu|m=%c|np=%zu",
-        ResolveLabel(label->string_value(), engine.meta()).c_str(), k,
-        mode == SearchMode::kExact ? 'e' : 'a', nprobe);
+    cache_key = util::StrFormat("%s|k=%zu|m=%c|np=%zu",
+                                query.names[0].c_str(), query.k,
+                                query.mode == SearchMode::kExact ? 'e' : 'a',
+                                nprobe);
     std::string cached;
-    if (cache_.Get(cache_key, state->version, &cached)) {
+    if (cache_.Get(cache_key, state.version, &cached)) {
       queries_->Inc();
       latency_->Observe(watch.ElapsedMillis());
       return HttpResponse::Json(200, std::move(cached));
     }
   }
 
-  // --- admission: shed instead of queueing past the in-flight budget ------
+  // Admission: shed instead of queueing past the in-flight budget.
   util::obs::Trace::Span admission_span(trace, "admission");
   AdmissionController::Ticket ticket(&admission_);
   if (!ticket.admitted()) {
     return ShedResponse();
   }
   admission_span.Close();
-  if (delay_ms > 0.0) {
+  if (query.delay_ms > 0.0) {
     std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(delay_ms));
+        std::chrono::duration<double, std::milli>(query.delay_ms));
   }
 
-  // Scatter/merge stage timings come from inside the engine (pool fan-out
-  // vs. global merge); only collected when this request is traced.
-  ShardedQueryEngine::QueryTiming timing;
-  ShardedQueryEngine::QueryTiming* timing_out =
-      trace != nullptr ? &timing : nullptr;
-
-  util::JsonWriter w;
-  w.BeginObject()
-      .Key("snapshot_version").Value(state->version)
-      .Key("scenario").Value(engine.meta().scenario);
-
-  if (labels != nullptr) {
-    // --- batch ------------------------------------------------------------
-    if (!labels->is_array()) {
-      errors_->Inc();
-      return ErrorResponse(400, "'labels' must be an array of strings");
-    }
-    if (labels->items().size() > options_.max_batch) {
-      errors_->Inc();
-      return ErrorResponse(
-          400, util::StrFormat("batch of %zu exceeds the %zu query limit",
-                               labels->items().size(), options_.max_batch));
-    }
-    std::vector<std::string> names;
-    names.reserve(labels->items().size());
-    for (const auto& item : labels->items()) {
-      if (!item.is_string()) {
-        errors_->Inc();
-        return ErrorResponse(400, "'labels' must be an array of strings");
-      }
-      names.push_back(ResolveLabel(item.string_value(), engine.meta()));
-    }
-    util::obs::Trace::Span scatter_span(trace, "scatter");
-    const auto results = engine.QueryBatch(names, k, mode, nprobe);
-    scatter_span.Close();
-    queries_->Inc(names.size());
-    util::obs::Trace::Span serialize_span(trace, "serialize");
-    w.Key("results").BeginArray();
-    for (size_t i = 0; i < results.size(); ++i) {
-      w.BeginObject().Key("label").Value(names[i]);
-      if (results[i].ok()) {
-        AppendMatches(*results[i], &w);
-      } else {
-        errors_->Inc();
-        w.Key("error").Value(results[i].status().ToString());
-      }
-      w.EndObject();
-    }
-    w.EndArray();
-  } else if (label != nullptr) {
-    // --- single, optionally blocked --------------------------------------
-    if (!label->is_string()) {
-      errors_->Inc();
-      return ErrorResponse(400, "'label' must be a string");
-    }
-    const std::string name =
-        ResolveLabel(label->string_value(), engine.meta());
-    util::Result<std::vector<ScoredMatch>> result =
-        std::vector<ScoredMatch>{};
-    if (allowed != nullptr) {
-      if (!allowed->is_array()) {
-        errors_->Inc();
-        return ErrorResponse(400, "'allowed' must be an array of strings");
-      }
-      std::vector<std::string> block;
-      block.reserve(allowed->items().size());
-      for (const auto& item : allowed->items()) {
-        if (!item.is_string()) {
-          errors_->Inc();
-          return ErrorResponse(400,
-                               "'allowed' must be an array of strings");
-        }
-        block.push_back(ResolveLabel(item.string_value(), engine.meta()));
-      }
-      result = engine.QueryFiltered(name, block, k, timing_out);
-    } else {
-      result = engine.Query(name, k, mode, nprobe, timing_out);
-    }
-    if (trace != nullptr) {
-      trace->AddSpan("scatter", timing.scatter_ms);
-      trace->AddSpan("merge", timing.merge_ms);
-    }
-    queries_->Inc();
-    if (!result.ok()) {
-      errors_->Inc();
-      return ErrorResponse(result.status());
-    }
-    util::obs::Trace::Span serialize_span(trace, "serialize");
-    w.Key("label").Value(name);
-    AppendMatches(*result, &w);
-  } else {
-    // --- raw vector -------------------------------------------------------
-    if (!vector->is_array() || vector->items().empty()) {
-      errors_->Inc();
-      return ErrorResponse(400, "'vector' must be a non-empty number "
-                                "array");
-    }
-    std::vector<float> q;
-    q.reserve(vector->items().size());
-    for (const auto& item : vector->items()) {
-      if (!item.is_number()) {
-        errors_->Inc();
-        return ErrorResponse(400, "'vector' must be a non-empty number "
-                                  "array");
-      }
-      q.push_back(static_cast<float>(item.number_value()));
-    }
-    const auto result = engine.QueryVector(q, k, mode, nprobe, timing_out);
-    if (trace != nullptr) {
-      trace->AddSpan("scatter", timing.scatter_ms);
-      trace->AddSpan("merge", timing.merge_ms);
-    }
-    queries_->Inc();
-    if (!result.ok()) {
-      errors_->Inc();
-      return ErrorResponse(result.status());
-    }
-    util::obs::Trace::Span serialize_span(trace, "serialize");
-    AppendMatches(*result, &w);
+  const QueryResults results = Execute(engine, query, nprobe, trace);
+  queries_->Inc(results.size());
+  const auto failed = static_cast<uint64_t>(
+      std::count_if(results.begin(), results.end(),
+                    [](const auto& result) { return !result.ok(); }));
+  if (failed > 0) errors_->Inc(failed);
+  // A batch reports failed items inline; a single query's failure is the
+  // response.
+  if (query.shape != QueryRequest::Shape::kLabels && failed > 0) {
+    return ErrorResponse(results[0].status());
   }
-
-  util::obs::Trace::Span finish_span(trace, "serialize");
-  w.EndObject();
-  std::string body = w.str();
-  finish_span.Close();
-  if (!cache_key.empty()) cache_.Put(cache_key, state->version, body);
+  std::string rendered = Render(state, query, results, trace);
+  if (!cache_key.empty()) cache_.Put(cache_key, state.version, rendered);
   latency_->Observe(watch.ElapsedMillis());
   // Feed the tuner after recording: it reacts to the p99 including this
   // query. Cache hits and shed requests never reach here — the tuner only
   // learns from queries the engine actually executed.
   if (tuner_ != nullptr) tuner_->Observe(latency_->Percentile(0.99));
-  return HttpResponse::Json(200, std::move(body));
+  return HttpResponse::Json(200, std::move(rendered));
 }
 
 HttpResponse MatchService::HandleHealth(const HttpRequest& request) {
@@ -783,14 +797,10 @@ HttpResponse MatchService::HandleHealth(const HttpRequest& request) {
 
 HttpResponse MatchService::HandleHistory(const HttpRequest& request) {
   double window_s = 300.0;
-  const std::string window = QueryParam(request.query, "window");
-  if (!window.empty()) {
-    char* end = nullptr;
-    window_s = std::strtod(window.c_str(), &end);
-    if (end == window.c_str() || window_s <= 0 || !std::isfinite(window_s)) {
-      return ErrorResponse(400, "'window' must be a positive number of "
-                                "seconds");
-    }
+  if (!ReadPositiveParam(request.query, "window", HUGE_VAL, false,
+                         &window_s)) {
+    return ErrorResponse(400, "'window' must be a positive number of "
+                              "seconds");
   }
   const std::string prefix = QueryParam(request.query, "series");
   // Points are heavy (every series × every sample); opt in explicitly.
@@ -888,32 +898,26 @@ HttpResponse MatchService::HandleProfile(const HttpRequest& request) {
                               "platform");
   }
   double seconds = 1.0;
-  const std::string seconds_param = QueryParam(request.query, "seconds");
-  if (!seconds_param.empty()) {
-    char* end = nullptr;
-    seconds = std::strtod(seconds_param.c_str(), &end);
-    if (end == seconds_param.c_str() || seconds <= 0 ||
-        !std::isfinite(seconds)) {
-      return ErrorResponse(400, "'seconds' must be a positive number");
-    }
+  if (!ReadPositiveParam(request.query, "seconds", HUGE_VAL, false,
+                         &seconds)) {
+    return ErrorResponse(400, "'seconds' must be a positive number");
   }
-  seconds = std::min(seconds, options_.profile_max_seconds);
-  int hz = options_.profile_hz;
-  const std::string hz_param = QueryParam(request.query, "hz");
-  if (!hz_param.empty()) {
-    hz = std::atoi(hz_param.c_str());
-    if (hz < 1 || hz > 1000) {
-      return ErrorResponse(400, "'hz' must be an integer in [1, 1000]");
-    }
+  double hz = options_.profile_hz;
+  if (!ReadPositiveParam(request.query, "hz", 1000, true, &hz)) {
+    return ErrorResponse(400, "'hz' must be an integer in [1, 1000]");
   }
   const std::string format = QueryParam(request.query, "format");
   if (!format.empty() && format != "folded" && format != "json") {
     return ErrorResponse(400, "'format' must be \"folded\" or \"json\"");
   }
+  double top = 20;
+  if (!ReadPositiveParam(request.query, "top", 1e6, true, &top)) {
+    return ErrorResponse(400, "'top' must be an integer in [1, 1e6]");
+  }
   // The capture blocks this worker for the window — deliberate: the
   // profile IS the response body, and the blocked worker is one of many.
-  auto profile =
-      util::obs::CpuProfiler::Global().ProfileFor(seconds, hz);
+  auto profile = util::obs::CpuProfiler::Global().ProfileFor(
+      std::min(seconds, options_.profile_max_seconds), static_cast<int>(hz));
   if (!profile.ok()) {
     if (profile.status().IsAlreadyExists()) {
       return ErrorResponse(409, "another profile capture is running");
@@ -921,13 +925,7 @@ HttpResponse MatchService::HandleProfile(const HttpRequest& request) {
     return ErrorResponse(profile.status());
   }
   if (format == "json") {
-    size_t top_n = 20;
-    const std::string top = QueryParam(request.query, "top");
-    if (!top.empty()) {
-      const int parsed_top = std::atoi(top.c_str());
-      if (parsed_top > 0) top_n = static_cast<size_t>(parsed_top);
-    }
-    return HttpResponse::Json(200, profile->ToJson(top_n));
+    return HttpResponse::Json(200, profile->ToJson(static_cast<size_t>(top)));
   }
   HttpResponse response;
   response.status = 200;

@@ -6,7 +6,10 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "serve/admission.h"
 #include "serve/http/http.h"
@@ -22,6 +25,7 @@
 #include "util/obs/trace.h"
 #include "util/result.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace tdmatch {
 namespace serve {
@@ -102,6 +106,33 @@ struct ServiceOptions {
   util::obs::SloWindowPair slo_slow{300.0, 3600.0, 6.0};
 };
 
+/// A /v1/query body after validation: the request's shape plus everything
+/// execution needs, with every label already resolved against the
+/// snapshot's prefixes (`q:3` -> `__D0:3__`).
+struct QueryRequest {
+  enum class Shape { kLabel, kLabels, kVector };
+  Shape shape = Shape::kLabel;
+  /// Resolved names: one for kLabel, one per batch item for kLabels.
+  std::vector<std::string> names;
+  /// kLabel only: the resolved blocking filter, when "allowed" was given.
+  std::optional<std::vector<std::string>> allowed;
+  /// kVector only: the raw query vector.
+  std::vector<float> vector;
+  size_t k = 0;
+  SearchMode mode = SearchMode::kApprox;
+  /// Debug hold inside the admission window (0 unless allow_debug_delay).
+  double delay_ms = 0.0;
+};
+
+/// Validates a /v1/query body completely: JSON syntax, "k", "mode", the
+/// selector, "delay_ms", and the shape-specific fields (label types, batch
+/// size and items, "allowed" items, vector numbers). Every failure is
+/// InvalidArgument carrying the 400 message. Only engine-level errors (an
+/// unknown label, a wrong vector dim) are left for execution.
+util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
+                                             const ServiceOptions& options,
+                                             const SnapshotMeta& meta);
+
 /// \brief The JSON endpoints of the serving front end, bound to an
 /// HttpServer:
 ///
@@ -117,14 +148,24 @@ struct ServiceOptions {
 ///                     {"snapshot": path}; defaults to re-reading the
 ///                     current path)
 ///
+/// A /v1/query runs five steps against one pinned epoch: parse
+/// (ParseQueryRequest validates the whole body, so a malformed request is
+/// answered 400 and never reaches the cache or admission), cache (an
+/// unfiltered single-label hit is served before admission), admission
+/// (429 + Retry-After past the in-flight budget), execute (the engine
+/// call for the request's shape) and render (the one JSON body). Errors
+/// are counted at two sites: a failed parse, and the failed items of an
+/// execution.
+///
 /// Every service counter lives in an obs::Registry (striped counters,
 /// one relaxed atomic bump on the hot path); /v1/stats and /v1/metrics
 /// are two renderings of the same data. A request that wins the trace
 /// sample (or any request when --slow-query-ms is set) carries an
 /// obs::Trace whose spans — parse, cache, admission, scatter, merge,
-/// serialize — aggregate into per-stage histograms and emit one JSONL
-/// line. Untraced requests pay one branch per would-be span; tracing is
-/// read-only on results (exact-mode bodies stay bit-identical).
+/// serialize, each stage at most once — aggregate into per-stage
+/// histograms and emit one JSONL line. Untraced requests pay one branch
+/// per would-be span; tracing is read-only on results (exact-mode bodies
+/// stay bit-identical).
 ///
 /// Hot reload is an RCU epoch swap: every request pins the current
 /// EngineState via a shared_ptr read with std::atomic_load, reload builds
@@ -183,11 +224,13 @@ class MatchService {
       const std::string& path, uint64_t version) const;
   /// The 429 + Retry-After response for a refused query.
   HttpResponse ShedResponse();
-  /// The traced body of HandleQuery (`trace` may be null).
-  HttpResponse HandleQueryTraced(const HttpRequest& request,
-                                 util::obs::Trace* trace);
-  /// Trace-decision dispatch (the pre-SLO body of HandleQuery).
-  HttpResponse HandleQueryDispatch(const HttpRequest& request);
+  /// Parse, cache, admission, execute and render for one /v1/query body
+  /// against the pinned `state` (`trace` may be null). `watch` started
+  /// with the request; answered queries observe it into the latency
+  /// histogram.
+  HttpResponse AnswerQuery(std::string_view body, const EngineState& state,
+                           util::obs::Trace* trace,
+                           const util::StopWatch& watch);
   /// Seconds on the steady clock — the SLO tracker's time base.
   static double NowSeconds();
   /// Stage histograms + the JSONL trace/slow-query line.

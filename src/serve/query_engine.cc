@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "util/crc32.h"
-#include "util/logging.h"
+#include "util/obs/jsonlog.h"
 #include "util/string_util.h"
 
 namespace tdmatch {
@@ -137,8 +137,10 @@ util::Status QueryEngine::FinishBuild(QueryEngineOptions options,
         ivf_ = std::move(loaded).ValueOrDie();
         ivf_from_snapshot_ = true;
       } else {
-        TDM_LOG(Warning) << "ignoring snapshot index section: "
-                         << loaded.status().ToString();
+        util::obs::JsonLogger::Global()
+            .Log(util::obs::LogLevel::kWarn, "ivf_section_ignored")
+            .Str("message", "ignoring snapshot index section")
+            .Str("reason", loaded.status().ToString());
       }
     }
     if (ivf_ == nullptr) ivf_ = std::make_unique<IvfIndex>(matrix_, ivf);

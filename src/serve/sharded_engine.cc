@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "serve/mmap_snapshot.h"
-#include "util/logging.h"
+#include "util/obs/jsonlog.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -68,8 +68,10 @@ util::Status ShardedQueryEngine::BuildShards(
     if (parsed.ok()) {
       section = std::move(parsed).ValueOrDie();
     } else {
-      TDM_LOG(Warning) << "ignoring snapshot index section: "
-                       << parsed.status().ToString();
+      util::obs::JsonLogger::Global()
+          .Log(util::obs::LogLevel::kWarn, "ivf_section_ignored")
+          .Str("message", "ignoring snapshot index section")
+          .Str("reason", parsed.status().ToString());
     }
   }
 

@@ -1,58 +1,22 @@
 #include "util/logging.h"
 
-#include <atomic>
+#include <cstdlib>
+#include <iostream>
 
 namespace tdmatch {
 namespace util {
 
-namespace {
-std::atomic<int> g_threshold{static_cast<int>(LogLevel::kWarning)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
+CheckFailure::CheckFailure(const char* file, int line) {
+  const char* base = file;
+  for (const char* p = file; *p != '\0'; ++p) {
+    if (*p == '/') base = p + 1;
   }
-  return "?";
-}
-}  // namespace
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level),
-      enabled_(static_cast<int>(level) >= g_threshold.load() ||
-               level == LogLevel::kFatal) {
-  if (enabled_) {
-    const char* base = file;
-    for (const char* p = file; *p != '\0'; ++p) {
-      if (*p == '/') base = p + 1;
-    }
-    stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
-  }
+  stream_ << "[FATAL " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    std::cerr << stream_.str() << std::endl;
-  }
-  if (level_ == LogLevel::kFatal) {
-    std::abort();
-  }
-}
-
-void LogMessage::SetThreshold(LogLevel level) {
-  g_threshold.store(static_cast<int>(level));
-}
-
-LogLevel LogMessage::Threshold() {
-  return static_cast<LogLevel>(g_threshold.load());
+CheckFailure::~CheckFailure() {
+  std::cerr << stream_.str() << std::endl;
+  std::abort();
 }
 
 }  // namespace util

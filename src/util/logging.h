@@ -1,54 +1,37 @@
 #ifndef TDMATCH_UTIL_LOGGING_H_
 #define TDMATCH_UTIL_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
-#include <string>
 
 namespace tdmatch {
 namespace util {
 
-/// Log severity levels, in increasing order of importance.
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-/// \brief Minimal leveled logger used throughout the library.
-///
-/// Messages below the global threshold (default kWarning, so library code is
-/// silent in normal operation) are discarded. kFatal aborts the process after
-/// flushing.
-class LogMessage {
+/// \brief The failure path of TDM_CHECK*/TDM_DCHECK*: collects the
+/// streamed message, writes it to stderr as "[FATAL file:line] ...", and
+/// aborts. Structured, non-fatal logging is util::obs::JsonLogger.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  CheckFailure(const char* file, int line);
+  ~CheckFailure();
 
   template <typename T>
-  LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+  CheckFailure& operator<<(const T& v) {
+    stream_ << v;
     return *this;
   }
 
-  /// Sets the global minimum level that is actually emitted.
-  static void SetThreshold(LogLevel level);
-  static LogLevel Threshold();
-
  private:
-  LogLevel level_;
-  bool enabled_;
   std::ostringstream stream_;
 };
 
 }  // namespace util
 }  // namespace tdmatch
 
-#define TDM_LOG(level)                                                   \
-  ::tdmatch::util::LogMessage(::tdmatch::util::LogLevel::k##level, __FILE__, \
-                              __LINE__)
-
 /// CHECK-style invariant assertion: always on, aborts with message on failure.
-#define TDM_CHECK(cond)                                      \
-  if (!(cond))                                               \
-  TDM_LOG(Fatal) << "Check failed: " #cond " "
+#define TDM_CHECK(cond)                              \
+  if (!(cond))                                       \
+  ::tdmatch::util::CheckFailure(__FILE__, __LINE__) \
+      << "Check failed: " #cond " "
 
 #define TDM_CHECK_EQ(a, b) TDM_CHECK((a) == (b))
 #define TDM_CHECK_NE(a, b) TDM_CHECK((a) != (b))
@@ -61,7 +44,7 @@ class LogMessage {
 #define TDM_DCHECK(cond) TDM_CHECK(cond)
 #else
 #define TDM_DCHECK(cond) \
-  if (false) TDM_LOG(Fatal)
+  if (false) ::tdmatch::util::CheckFailure(__FILE__, __LINE__)
 #endif
 
 #define TDM_DCHECK_EQ(a, b) TDM_DCHECK((a) == (b))

@@ -26,10 +26,12 @@
 #include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
+#include "testing/mutate.h"
 #include "util/crc32.h"
 #include "util/json.h"
 #include "util/obs/jsonlog.h"
 #include "util/obs/profiler.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 // The CPU profiler's SIGPROF handler is incompatible with sanitizer
@@ -55,7 +57,9 @@ using serve::http::HttpResponse;
 using serve::http::HttpServer;
 using serve::http::HttpServerOptions;
 using serve::http::MatchService;
+using serve::http::QueryRequest;
 using serve::http::ServiceOptions;
+using serve::SnapshotMeta;
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
@@ -1064,6 +1068,176 @@ TEST(MatchServiceTest, SlowQueryLogArmsWithoutSampling) {
   std::remove(path.c_str());
 }
 
+/// Value of `tdmatch_request_stage_latency_ms_count{stage="<stage>"}` in a
+/// Prometheus exposition (-1 when the line is missing).
+double StageCount(const std::string& exposition, const std::string& stage) {
+  const std::string needle =
+      "tdmatch_request_stage_latency_ms_count{stage=\"" + stage + "\"} ";
+  const size_t at = exposition.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(exposition.c_str() + at + needle.size(), nullptr);
+}
+
+TEST(QueryRequestTest, ParsesEveryShapeWithLabelsResolvedOnce) {
+  SnapshotMeta meta;
+  meta.Set("query_prefix", "__D0:");
+  meta.Set("candidate_prefix", "__D1:");
+  ServiceOptions options;
+  options.allow_debug_delay = true;
+
+  auto single = serve::http::ParseQueryRequest(
+      "{\"label\": \"q:3\", \"k\": 4, \"mode\": \"exact\", "
+      "\"allowed\": [\"c:1\", \"raw\"], \"delay_ms\": 2}",
+      options, meta);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->shape, QueryRequest::Shape::kLabel);
+  EXPECT_EQ(single->names, std::vector<std::string>{"__D0:3__"});
+  ASSERT_TRUE(single->allowed.has_value());
+  EXPECT_EQ(*single->allowed, (std::vector<std::string>{"__D1:1__", "raw"}));
+  EXPECT_EQ(single->k, 4u);
+  EXPECT_EQ(single->mode, serve::SearchMode::kExact);
+  EXPECT_EQ(single->delay_ms, 2.0);
+
+  auto batch = serve::http::ParseQueryRequest(
+      "{\"labels\": [\"q:0\", \"x\"]}", options, meta);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->shape, QueryRequest::Shape::kLabels);
+  EXPECT_EQ(batch->names, (std::vector<std::string>{"__D0:0__", "x"}));
+  EXPECT_FALSE(batch->allowed.has_value());
+  EXPECT_EQ(batch->mode, serve::SearchMode::kApprox);
+
+  auto vector = serve::http::ParseQueryRequest("{\"vector\": [0.5, -2]}",
+                                               options, meta);
+  ASSERT_TRUE(vector.ok());
+  EXPECT_EQ(vector->shape, QueryRequest::Shape::kVector);
+  EXPECT_EQ(vector->vector, (std::vector<float>{0.5f, -2.0f}));
+  EXPECT_TRUE(vector->names.empty());
+
+  // The debug delay is ignored, unvalidated, unless the option allows it.
+  options.allow_debug_delay = false;
+  auto no_delay = serve::http::ParseQueryRequest(
+      "{\"label\": \"q:0\", \"delay_ms\": \"soon\"}", options, meta);
+  ASSERT_TRUE(no_delay.ok());
+  EXPECT_EQ(no_delay->delay_ms, 0.0);
+
+  auto bad = serve::http::ParseQueryRequest("{\"labels\": [\"q:0\", 7]}",
+                                            options, meta);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
+  EXPECT_EQ(bad.status().message(), "'labels' must be an array of strings");
+}
+
+TEST(MatchServiceTest, TracedRequestsObserveEachStageOnce) {
+  // Every traced, uncached request observes parse, admission and
+  // serialize exactly once, whatever its shape.
+  const std::string path = WriteGeometricSnapshot("svc_stages.tds", 16, 0);
+  ServiceOptions sopts;
+  sopts.trace_sample = 1.0;
+  util::obs::JsonLogger log;
+  log.set_sink([](const std::string&) {});
+  sopts.logger = &log;
+  MatchService service(sopts);
+  ASSERT_TRUE(service.LoadInitial(path).ok());
+
+  const char* const bodies[] = {
+      "{\"label\": \"q1\", \"k\": 3}",
+      "{\"labels\": [\"q0\", \"q2\"], \"k\": 3}",
+      "{\"vector\": [0.5, 0.25], \"k\": 3, \"mode\": \"exact\"}",
+      "{\"label\": \"q2\", \"allowed\": [\"c1\", \"c3\"]}",
+  };
+  constexpr int kRounds = 5;
+  for (int i = 0; i < kRounds; ++i) {
+    for (const char* body : bodies) {
+      HttpRequest request;
+      request.body = body;
+      ASSERT_EQ(service.HandleQuery(request).status, 200) << body;
+    }
+  }
+  const std::string text = service.registry()->RenderPrometheus();
+  const double requests = 4.0 * kRounds;
+  EXPECT_EQ(StageCount(text, "parse"), requests);
+  EXPECT_EQ(StageCount(text, "admission"), requests);
+  EXPECT_EQ(StageCount(text, "serialize"), requests);
+  EXPECT_EQ(StageCount(text, "scatter"), requests);
+  // A batch merges inside its workers; the other three shapes merge once.
+  EXPECT_EQ(StageCount(text, "merge"), 3.0 * kRounds);
+  EXPECT_EQ(StageCount(text, "cache"), 0.0);  // the cache is off
+  std::remove(path.c_str());
+}
+
+TEST(MatchServiceTest, SeededQueryBodyMutantsGetAnAnswer) {
+  // Mutants of valid bodies of every shape, plus inflated numbers and long
+  // batches, through the in-process handler: each gets 200 or a 4xx with
+  // a JSON "error", and the error counter is exactly the non-200 answers
+  // plus the failed batch items. The sanitizer builds run this too.
+  const std::string path = WriteGeometricSnapshot("svc_fuzz.tds", 16, 0);
+  ServiceOptions sopts;
+  sopts.max_batch = 8;
+  sopts.cache_entries = 16;
+  sopts.allow_debug_delay = true;
+  sopts.trace_sample = 0.25;
+  util::obs::JsonLogger log;
+  log.set_sink([](const std::string&) {});
+  sopts.logger = &log;
+  MatchService service(sopts);
+  ASSERT_TRUE(service.LoadInitial(path).ok());
+
+  std::string long_batch = "{\"labels\": [";
+  for (int i = 0; i < 64; ++i) {
+    long_batch += (i > 0 ? ", \"q" : "\"q") + std::to_string(i % 20) + "\"";
+  }
+  long_batch += "]}";
+  const std::vector<std::string> seeds = {
+      "{\"label\": \"q1\", \"k\": 3}",
+      "{\"label\": \"q:4\", \"k\": 2, \"mode\": \"exact\"}",
+      "{\"labels\": [\"q0\", \"q2\", \"missing\"], \"k\": 2}",
+      "{\"labels\": [\"q0\", \"q1\", \"q2\", \"q3\", \"q4\", \"q5\", \"q6\", "
+      "\"q7\"]}",
+      "{\"vector\": [0.5, 0.25], \"k\": 3, \"mode\": \"approx\"}",
+      "{\"label\": \"q2\", \"allowed\": [\"c1\", \"c3\"], \"k\": 2}",
+      "{\"label\": \"q0\", \"k\": 1000000}",
+      "{\"label\": \"q0\", \"k\": 1e300}",
+      "{\"labels\": [\"q3\"], \"k\": 4294967297}",
+      "{\"label\": \"q0\", \"delay_ms\": 1e9}",
+      "{\"vector\": [1, 0], \"delay_ms\": -1}",
+      long_batch,
+  };
+
+  util::Rng rng(20261017);
+  const size_t kMutants = 5000;
+  size_t non_200 = 0;
+  size_t failed_items = 0;
+  for (size_t m = 0; m < kMutants; ++m) {
+    HttpRequest request;
+    request.body = testutil::Mutate(seeds[rng.UniformInt(seeds.size())],
+                                    testutil::MutationLayout{}, &rng);
+    const HttpResponse response = service.HandleQuery(request);
+    auto doc = util::JsonParse(response.body);
+    ASSERT_TRUE(doc.ok()) << request.body << " -> " << response.body;
+    if (response.status != 200) {
+      ++non_200;
+      ASSERT_GE(response.status, 400) << request.body;
+      ASSERT_LT(response.status, 500) << request.body << " -> "
+                                      << response.body;
+      ASSERT_NE(doc->Find("error"), nullptr) << request.body;
+      continue;
+    }
+    if (const util::JsonValue* results = doc->Find("results")) {
+      for (const auto& item : results->items()) {
+        failed_items += item.Find("error") != nullptr ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(non_200, 0u);
+  EXPECT_LT(non_200, kMutants);
+  EXPECT_GT(failed_items, 0u);
+  auto stats = util::JsonParse(service.HandleStats(HttpRequest()).body);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->Find("errors")->number_value(),
+            static_cast<double>(non_200 + failed_items));
+  std::remove(path.c_str());
+}
+
 TEST(MatchServiceTest, ReloadRouteCanBeDisabled) {
   const std::string path = WriteGeometricSnapshot("svc_noreload.tds", 6, 0);
   ServiceOptions sopts;
@@ -1234,6 +1408,10 @@ TEST(MatchServiceTest, HistoryEndpointTracksQueryCounter) {
   EXPECT_EQ(fx.service.HandleHistory(bad).status, 400);
   bad.query = "window=-5";
   EXPECT_EQ(fx.service.HandleHistory(bad).status, 400);
+  for (const char* query : {"window=5abc", "window=inf", "window=%205"}) {
+    bad.query = query;
+    EXPECT_EQ(fx.service.HandleHistory(bad).status, 400) << query;
+  }
   std::remove(path.c_str());
 }
 
@@ -1387,6 +1565,11 @@ TEST(MatchServiceTest, ProfileEndpointCapturesUnderLoad) {
   EXPECT_EQ(fx.service.HandleProfile(bad).status, 400);
   bad.query = "format=xml";
   EXPECT_EQ(fx.service.HandleProfile(bad).status, 400);
+  for (const char* query : {"seconds=2x", "seconds=nan", "hz=5x", "hz=2.5",
+                            "top=-3", "top=abc", "format=json&top=0"}) {
+    bad.query = query;
+    EXPECT_EQ(fx.service.HandleProfile(bad).status, 400) << query;
+  }
 
   // Keep the engine busy while the capture runs.
   std::atomic<bool> stop{false};

@@ -1019,6 +1019,53 @@ TEST(ShardedServiceTest, MaxInflightZeroShedsWith429AndRetryAfter) {
   std::remove(path.c_str());
 }
 
+TEST(ShardedServiceTest, MalformedBodiesNeverReachAdmission) {
+  // Validation runs before the admission gate: at capacity 0 a malformed
+  // body still gets its 400 and message, and takes no ticket.
+  const std::string path = WriteGeometricSnapshot("svc_malformed.tds", 8, 0);
+  ServiceOptions sopts;
+  sopts.max_inflight = 0;
+  sopts.max_batch = 2;
+  sopts.shards = 2;
+  ServiceFixture fx(path, sopts);
+  auto client = HttpClient::Connect("127.0.0.1", fx.server.port());
+  ASSERT_TRUE(client.ok());
+
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"labels\": 5}", "'labels' must be an array of strings"},
+      {"{\"labels\": [\"q0\", 1]}", "'labels' must be an array of strings"},
+      {"{\"labels\": [\"q0\", \"q1\", \"q2\"]}",
+       "batch of 3 exceeds the 2 query limit"},
+      {"{\"label\": 3}", "'label' must be a string"},
+      {"{\"label\": \"q0\", \"allowed\": 5}",
+       "'allowed' must be an array of strings"},
+      {"{\"label\": \"q0\", \"allowed\": [\"c1\", null]}",
+       "'allowed' must be an array of strings"},
+      {"{\"vector\": []}", "'vector' must be a non-empty number array"},
+      {"{\"vector\": [0.5, \"x\"]}",
+       "'vector' must be a non-empty number array"},
+  };
+  for (const auto& [body, message] : cases) {
+    auto r = client->Post("/v1/query", body);
+    ASSERT_TRUE(r.ok()) << body;
+    EXPECT_EQ(r->status, 400) << body << " -> " << r->body;
+    auto doc = util::JsonParse(r->body);
+    ASSERT_TRUE(doc.ok()) << r->body;
+    ASSERT_NE(doc->Find("error"), nullptr) << r->body;
+    EXPECT_EQ(doc->Find("error")->string_value(), message) << body;
+  }
+  EXPECT_EQ(fx.service.admission().shed(), 0u);
+  EXPECT_EQ(fx.service.admission().admitted(), 0u);
+
+  // An unknown label is an engine-level error: it needs the engine, so it
+  // meets the gate first and is shed.
+  auto unknown = client->Post("/v1/query", "{\"label\": \"unknown\"}");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_EQ(unknown->status, 429) << unknown->body;
+  EXPECT_EQ(fx.service.admission().shed(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ShardedServiceTest, OverlappingQueriesShedPastTheLimit) {
   const std::string path = WriteGeometricSnapshot("svc_burst.tds", 8, 0);
   ServiceOptions sopts;

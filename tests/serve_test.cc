@@ -17,8 +17,10 @@
 #include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
+#include "testing/mutate.h"
 #include "util/crc32.h"
-#include "util/logging.h"
+#include "util/json.h"
+#include "util/obs/jsonlog.h"
 #include "util/rng.h"
 
 namespace tdmatch {
@@ -840,59 +842,28 @@ TEST(SnapshotMutationTest, EveryMutantFailsCleanlyOrServes) {
                   path)
                   .ok());
   const std::string good = ReadFileBytes(path);
-  const std::vector<size_t> length_fields = LengthFieldOffsets(good);
 
-  const util::LogLevel threshold = util::LogMessage::Threshold();
-  util::LogMessage::SetThreshold(util::LogLevel::kError);  // fallbacks warn
+  // Rejected sections log ivf_section_ignored: capture those events on
+  // the global logger, and restore its stderr sink however the test ends.
+  std::vector<std::string> log_lines;
+  struct SinkRestore {
+    ~SinkRestore() { util::obs::JsonLogger::Global().set_sink(nullptr); }
+  } restore_sink;
+  util::obs::JsonLogger::Global().set_sink(
+      [&log_lines](const std::string& line) { log_lines.push_back(line); });
+  // The header is left whole (only bit-flipped); the CRC is re-stamped
+  // over each mutated body.
+  const std::string unsigned_good = good.substr(0, good.size() - 4);
+  const testutil::MutationLayout layout{12, LengthFieldOffsets(good)};
   util::Rng rng(20240917);
   const size_t kMutants = 2000;
   size_t opened = 0;
   size_t built = 0;
   size_t adopted = 0;
   for (size_t m = 0; m < kMutants; ++m) {
-    std::string header = good.substr(0, 12);
-    std::string body = good.substr(12, good.size() - 16);
-    switch (rng.UniformInt(4)) {
-      case 0:  // bit flips anywhere before the CRC
-        for (uint64_t f = 1 + rng.UniformInt(3); f > 0; --f) {
-          const size_t bit = rng.UniformInt(8 * (header.size() + body.size()));
-          std::string& bytes = bit / 8 < header.size() ? header : body;
-          const size_t at = bit / 8 < header.size() ? bit / 8
-                                                     : bit / 8 - header.size();
-          bytes[at] = static_cast<char>(bytes[at] ^ (1 << (bit % 8)));
-        }
-        break;
-      case 1:  // body truncation
-        body.resize(rng.UniformInt(body.size()));
-        break;
-      case 2: {  // an inflated length field
-        const size_t at =
-            length_fields[rng.UniformInt(length_fields.size())] - 12;
-        uint32_t v = 0;
-        std::memcpy(&v, &body[at], sizeof(v));
-        const uint32_t inflated[] = {
-            v + 1, v + static_cast<uint32_t>(1 + rng.UniformInt(64)),
-            static_cast<uint32_t>(body.size() - at), 0x7fffffffu,
-            0xffffffffu, static_cast<uint32_t>(rng.Next())};
-        v = inflated[rng.UniformInt(6)];
-        std::memcpy(&body[at], &v, sizeof(v));
-        break;
-      }
-      default: {  // splice a chunk of the body over or into another place
-        const size_t len = 1 + rng.UniformInt(48);
-        const size_t from = rng.UniformInt(body.size() - len);
-        const std::string chunk = body.substr(from, len);
-        const size_t to = rng.UniformInt(body.size() - len);
-        if (rng.Bernoulli(0.5)) {
-          body.replace(to, len, chunk);
-        } else {
-          body.insert(to, chunk);
-        }
-        break;
-      }
-    }
-    const uint32_t crc = util::Crc32(body.data(), body.size());
-    WriteFileBytes(path, header + body +
+    const std::string mutant = testutil::Mutate(unsigned_good, layout, &rng);
+    const uint32_t crc = util::Crc32(mutant.data() + 12, mutant.size() - 12);
+    WriteFileBytes(path, mutant +
                              std::string(reinterpret_cast<const char*>(&crc),
                                          sizeof(crc)));
 
@@ -921,7 +892,6 @@ TEST(SnapshotMutationTest, EveryMutantFailsCleanlyOrServes) {
       EXPECT_TRUE(engine->Query(label, 5, mode).ok()) << "mutant " << m;
     }
   }
-  util::LogMessage::SetThreshold(threshold);
   std::remove(path.c_str());
   // The mutants reach every outcome: rejected, opened, built, adopted.
   EXPECT_LT(opened, kMutants);
@@ -929,6 +899,18 @@ TEST(SnapshotMutationTest, EveryMutantFailsCleanlyOrServes) {
   EXPECT_GT(built, 0u);
   EXPECT_GT(adopted, 0u);
   EXPECT_LT(adopted, built);
+  // Rejected sections were reported as structured events with a reason.
+  size_t ignored = 0;
+  for (const std::string& line : log_lines) {
+    auto doc = util::JsonParse(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    if (doc->Find("event")->string_value() != "ivf_section_ignored") continue;
+    ++ignored;
+    const util::JsonValue* reason = doc->Find("reason");
+    ASSERT_NE(reason, nullptr) << line;
+    EXPECT_FALSE(reason->string_value().empty()) << line;
+  }
+  EXPECT_GT(ignored, 0u);
 }
 
 TEST(QueryEngineTest, QueryVectorValidatesDim) {

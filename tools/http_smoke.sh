@@ -7,10 +7,11 @@
 #   tools/http_smoke.sh <mode> <tdmatch_serve-binary> <snapshot.tds>
 #
 # Modes:
-#   basic      full endpoint tour: query, batch, hot reload, stats, and a
-#              SIGTERM that must drain and exit 0 (the build-and-test leg).
+#   basic      full endpoint tour: query, batch, malformed bodies (400),
+#              hot reload, stats, and a SIGTERM that must drain and exit 0
+#              (the build-and-test leg).
 #   sanitized  the lighter tour the ASan/UBSan job runs (longer healthz
-#              budget: sanitized startup is slow).
+#              budget: sanitized startup is slow), malformed bodies too.
 #   sharded    two servers, one unsharded and one --shards 4: exact- and
 #              approx-mode responses must be byte-identical (both adopt
 #              the snapshot's flat ivfpq section); then a flood against
@@ -75,6 +76,22 @@ post() {
   curl -sf -X POST "http://127.0.0.1:$1/v1/query" -d "$2"
 }
 
+# reject_malformed <port> — malformed /v1/query bodies must get a 400 with
+# a JSON "error" field (no curl -f: the error status is the point), and
+# the server must stay healthy afterwards.
+reject_malformed() {
+  local port=$1 body status
+  for body in '{"labels": 5}' '{"vector": []}'; do
+    status=$(curl -s -X POST "http://127.0.0.1:$port/v1/query" -d "$body" \
+      -o "$tmp_dir/malformed.json" -w '%{http_code}')
+    [ "$status" = 400 ] || fail "malformed body $body got $status, want 400"
+    grep -q '"error"' "$tmp_dir/malformed.json" \
+      || fail "400 for $body lacks an error field"
+  done
+  curl -sf "http://127.0.0.1:$port/v1/healthz" | grep -q '"status":"ok"' \
+    || fail "healthz not ok after malformed bodies"
+}
+
 case "$mode" in
   basic)
     port=18080
@@ -88,6 +105,7 @@ case "$mode" in
     post "$port" '{"label": "q:0", "k": 3}' | tee "$tmp_dir/q1.json"
     grep -q '"matches"' "$tmp_dir/q1.json"
     post "$port" '{"labels": ["q:0", "q:1"], "k": 3}' | grep -q '"results"'
+    reject_malformed "$port"
     cp "$snapshot" "$tmp_dir/reload.tds"
     curl -sf -X POST "http://127.0.0.1:$port/v1/reload" \
       -d "{\"snapshot\": \"$tmp_dir/reload.tds\"}" \
@@ -113,6 +131,7 @@ case "$mode" in
       --min tdmatch_traces_total:5 \
       --min tdmatch_reloads_total:1 \
       --min tdmatch_cache_hits_total:1 \
+      --min tdmatch_query_errors_total:2 \
       || fail "metrics exposition check failed"
 
     # Metric history: a scripted burst of 8 more queries, then the
@@ -174,6 +193,7 @@ case "$mode" in
     server_pid=$last_pid
     wait_healthy "$port" 100
     post "$port" '{"label": "q:0", "k": 3}' | grep -q '"matches"'
+    reject_malformed "$port"
     curl -sf -X POST "http://127.0.0.1:$port/v1/reload" -d '{}' \
       | grep -q '"snapshot_version":2'
     drain "$server_pid"

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "util/json.h"
 #include "util/simd/kernels.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tdmatch {
@@ -40,6 +42,31 @@ HttpResponse ErrorResponse(int http_status, const std::string& message) {
 
 HttpResponse ErrorResponse(const util::Status& status) {
   return ErrorResponse(StatusToHttp(status), status.ToString());
+}
+
+/// The process's one epoch builder: every serving epoch — each service's
+/// initial load and every reload — is built on this thread. glibc gives
+/// each thread its own malloc arena, and a freed epoch stays resident in
+/// the arena that built it once a later small allocation sits above it;
+/// with one builder every epoch reuses the space its predecessor freed.
+/// Started on first use and shared by every MatchService in the process.
+util::ThreadPool& EpochBuilder() {
+  static util::ThreadPool builder(1);
+  return builder;
+}
+
+/// A "Vm...:" line of /proc/self/status in bytes (0 when unreadable).
+double ProcessStatusBytes(const char* key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  const size_t key_len = std::strlen(key);
+  while (std::getline(status, line)) {
+    if (line.compare(0, key_len, key) == 0 && line.size() > key_len &&
+        line[key_len] == ':') {
+      return std::strtod(line.c_str() + key_len + 1, nullptr) * 1024.0;
+    }
+  }
+  return 0.0;
 }
 
 /// `q:3` / `c:7` → the snapshot's metadata-doc labels, using the prefixes
@@ -410,6 +437,14 @@ MatchService::MatchService(ServiceOptions options)
         return s != nullptr ? s->load_seconds : 0.0;
       });
   registry_->RegisterCallback(
+      MetricType::kGauge, "tdmatch_process_resident_bytes",
+      "Resident set size of the process (VmRSS)", {},
+      [] { return ProcessStatusBytes("VmRSS"); });
+  registry_->RegisterCallback(
+      MetricType::kGauge, "tdmatch_process_resident_peak_bytes",
+      "Peak resident set size of the process (VmHWM)", {},
+      [] { return ProcessStatusBytes("VmHWM"); });
+  registry_->RegisterCallback(
       MetricType::kGauge, "tdmatch_uptime_seconds",
       "Seconds since the service constructed", {}, [this] {
         return std::chrono::duration<double>(
@@ -468,6 +503,15 @@ double MatchService::NowSeconds() {
 }
 
 util::Result<std::shared_ptr<const EngineState>> MatchService::BuildState(
+    const std::string& path, uint64_t version) const {
+  util::Result<std::shared_ptr<const EngineState>> built =
+      util::Status::Internal("epoch not built");
+  EpochBuilder().RunTasks(
+      1, [&](size_t) { built = BuildEpoch(path, version); });
+  return built;
+}
+
+util::Result<std::shared_ptr<const EngineState>> MatchService::BuildEpoch(
     const std::string& path, uint64_t version) const {
   util::StopWatch watch;
   auto state = std::make_shared<EngineState>();
@@ -552,8 +596,7 @@ std::shared_ptr<const EngineState> MatchService::state() const {
   return std::atomic_load(&state_);
 }
 
-util::Result<std::shared_ptr<const EngineState>> MatchService::Reload(
-    const std::string& path) {
+util::Result<ReloadResult> MatchService::Reload(const std::string& path) {
   // One reload at a time; queries never wait on this lock — they read the
   // published epoch pointer and carry on against it.
   std::lock_guard<std::mutex> lock(reload_mu_);
@@ -573,7 +616,7 @@ util::Result<std::shared_ptr<const EngineState>> MatchService::Reload(
   // refuses a stale stamp on its own); clearing on swap also frees the
   // dead epoch's bodies immediately.
   cache_.Clear();
-  return fresh;
+  return ReloadResult{std::move(fresh), current->version};
 }
 
 void MatchService::Register(HttpServer* server) {
@@ -1045,23 +1088,22 @@ HttpResponse MatchService::HandleReload(const HttpRequest& request) {
       path = p->string_value();
     }
   }
-  const std::shared_ptr<const EngineState> before = state();
-  auto fresh = Reload(path);
-  if (!fresh.ok()) {
+  auto reloaded = Reload(path);
+  if (!reloaded.ok()) {
     // The old snapshot keeps serving; the caller learns why the new one
     // was rejected.
     errors_->Inc();
-    return ErrorResponse(fresh.status());
+    return ErrorResponse(reloaded.status());
   }
+  const EngineState& fresh = *reloaded->state;
   util::JsonWriter w;
   w.BeginObject()
       .Key("status").Value("ok")
-      .Key("snapshot_version").Value((*fresh)->version)
-      .Key("previous_version").Value(before == nullptr ? uint64_t{0}
-                                                       : before->version)
-      .Key("snapshot_path").Value((*fresh)->snapshot_path)
-      .Key("scenario").Value((*fresh)->engine->meta().scenario)
-      .Key("load_seconds").Value((*fresh)->load_seconds)
+      .Key("snapshot_version").Value(fresh.version)
+      .Key("previous_version").Value(reloaded->previous_version)
+      .Key("snapshot_path").Value(fresh.snapshot_path)
+      .Key("scenario").Value(fresh.engine->meta().scenario)
+      .Key("load_seconds").Value(fresh.load_seconds)
       .EndObject();
   return HttpResponse::Json(200, w.str());
 }

@@ -44,6 +44,14 @@ struct EngineState {
   std::shared_ptr<ShardedQueryEngine> engine;
 };
 
+/// What MatchService::Reload swapped: the epoch it published and the
+/// version of the one it replaced, both read under the reload lock, so
+/// concurrent reloads report one unbroken chain of versions.
+struct ReloadResult {
+  std::shared_ptr<const EngineState> state;
+  uint64_t previous_version = 0;
+};
+
 struct ServiceOptions {
   QueryEngineOptions engine;
   /// Expose POST /v1/reload. Off ⇒ the route is not registered at all.
@@ -175,6 +183,16 @@ util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
 /// drains. No request ever observes a half-swapped state, and every
 /// response is stamped with the snapshot_version it was answered from.
 /// A failed reload leaves the old state serving and reports the error.
+///
+/// Epoch lifecycle. LoadInitial and Reload hand the build to one builder
+/// thread, shared by every service in the process and started on first
+/// use, and block until it returns. So every epoch allocates from that
+/// thread's malloc arena, and a new epoch reuses the heap its predecessor
+/// freed instead of growing the arena of whichever thread asked. The
+/// build releases the snapshot pages it copied (everything past the
+/// labels; see SnapshotView::ReleasePayloadPages). The old epoch is freed
+/// when its last pin drops, so memory across reloads peaks at two
+/// epochs: the serving one and the one being built.
 class MatchService {
  public:
   explicit MatchService(ServiceOptions options = {});
@@ -193,8 +211,7 @@ class MatchService {
 
   /// Swaps in `path` (empty ⇒ current path). Serialized; concurrent
   /// queries are unaffected until the atomic publish.
-  util::Result<std::shared_ptr<const EngineState>> Reload(
-      const std::string& path);
+  util::Result<ReloadResult> Reload(const std::string& path);
 
   // Endpoint handlers (exposed for in-process tests).
   HttpResponse HandleQuery(const HttpRequest& request);
@@ -220,7 +237,11 @@ class MatchService {
   util::obs::SloTracker* slo() const { return slo_.get(); }
 
  private:
+  /// BuildEpoch on the process's builder thread; blocks until it is done.
   util::Result<std::shared_ptr<const EngineState>> BuildState(
+      const std::string& path, uint64_t version) const;
+  /// Opens `path` and builds the epoch's sharded engine over it.
+  util::Result<std::shared_ptr<const EngineState>> BuildEpoch(
       const std::string& path, uint64_t version) const;
   /// The 429 + Retry-After response for a refused query.
   HttpResponse ShedResponse();

@@ -218,6 +218,11 @@ const float* SnapshotView::row(size_t i) const {
          i * static_cast<size_t>(dim_);
 }
 
+void SnapshotView::ReleasePayloadPages() const {
+  const size_t offset = static_cast<size_t>(payload_ - file_.data());
+  file_.ReleasePages(offset, file_.size() - offset);
+}
+
 void SnapshotView::CopyRow(size_t i, float* out) const {
   const size_t row_bytes = static_cast<size_t>(dim_) * sizeof(float);
   std::memcpy(out, payload_ + i * row_bytes, row_bytes);

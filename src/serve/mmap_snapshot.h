@@ -28,7 +28,9 @@ namespace serve {
 /// index; the payload itself is demand-paged, and several QueryEngines
 /// can share one mapping through the shared_ptr returned by Open. Every
 /// serving engine is built from a view; SnapshotIo::Read copies one into
-/// an in-memory Snapshot for the offline tools.
+/// an in-memory Snapshot for the offline tools. A sharded engine build
+/// ends with ReleasePayloadPages, so a serving epoch keeps only the
+/// header and label pages of its mapping resident.
 ///
 /// The view is immutable and safe for concurrent readers. Pointers and
 /// string_views obtained from it are valid exactly as long as the view is
@@ -85,6 +87,17 @@ class SnapshotView {
       const {
     return sections_;
   }
+
+  /// Drops this process's resident pages of everything after the labels:
+  /// the f32 payload and every section (MmapFile::ReleasePages, rounded
+  /// inward). An engine build copies both out — the payload into its
+  /// normalized matrices, the "ivfpq" section into its lists — and the
+  /// CRC scan touched every byte, so without this the whole file stays
+  /// resident for the life of the epoch. The header and the labels stay:
+  /// every label lookup compares bytes there. Reading a released byte
+  /// (a LabelVector row, a section) faults the same bytes back in, since
+  /// SnapshotIo replaces files by rename and never rewrites one in place.
+  void ReleasePayloadPages() const;
 
  private:
   SnapshotView() = default;

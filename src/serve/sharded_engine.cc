@@ -33,6 +33,9 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
   sharded.dim_ = view->dim();
   sharded.view_ = std::move(view);
   TDM_RETURN_NOT_OK(sharded.BuildShards(labels, view_rows, prefix));
+  // Every shard now holds its own copy of the payload and section bytes;
+  // serving reads the mapping only for labels and LabelVector rows.
+  sharded.view_->ReleasePayloadPages();
   return sharded;
 }
 

@@ -58,7 +58,9 @@ class ShardedQueryEngine {
   /// Candidates are the view labels with `prefix`, in file order; shard
   /// matrices are gathered straight from the mapped payload, and label
   /// lookups resolve against the mapping. The engine shares ownership of
-  /// the view.
+  /// the view. Once the shards are built, the view's payload and section
+  /// pages are released (SnapshotView::ReleasePayloadPages), so an epoch
+  /// keeps only the label region of its mapping resident.
   static util::Result<ShardedQueryEngine> BuildFromView(
       std::shared_ptr<const SnapshotView> view, const std::string& prefix,
       ShardedEngineOptions options = {});

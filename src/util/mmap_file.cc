@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -51,6 +52,18 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
   // needed afterwards.
   ::close(fd);
   return file;
+}
+
+void MmapFile::ReleasePages(size_t offset, size_t length) const {
+  if (data_ == nullptr || offset >= size_) return;
+  length = std::min(length, size_ - offset);
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  // The mapping starts on a page boundary, so offsets round like addresses.
+  const size_t begin = (offset + page - 1) / page * page;
+  const size_t end = (offset + length) / page * page;
+  if (begin >= end) return;
+  // Advice only: a failure leaves the pages resident, never wrong.
+  ::madvise(static_cast<char*>(data_) + begin, end - begin, MADV_DONTNEED);
 }
 
 MmapFile::~MmapFile() { Reset(); }

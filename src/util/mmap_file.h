@@ -39,6 +39,17 @@ class MmapFile {
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
 
+  /// Drops the resident pages of bytes [offset, offset + length) from
+  /// this process (madvise MADV_DONTNEED), rounded inward to whole pages,
+  /// so the pages at either end that hold bytes outside the range stay.
+  /// The bytes themselves do not change: the mapping is MAP_PRIVATE and
+  /// read-only, so it holds no private copies, and a later read faults
+  /// the page back in from the page cache (or the file). That holds only
+  /// while the file's bytes do not change in place, which SnapshotIo
+  /// guarantees by replacing files with rename. Const because it changes
+  /// residency, never contents; safe alongside concurrent readers.
+  void ReleasePages(size_t offset, size_t length) const;
+
  private:
   void Reset();
 

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -855,6 +857,48 @@ TEST(MatchServiceTest, HealthStatsAndReloadEndpoints) {
   std::remove(path_b.c_str());
 }
 
+TEST(MatchServiceTest, ConcurrentReloadsReportOneVersionChain) {
+  // Eight reloads race: each response's previous_version must be the
+  // version that reload itself replaced, so the eight (previous, new)
+  // pairs link into one chain 1 -> 2 -> ... -> 9 with no version reported
+  // twice. 4000 candidates make each build slow enough that the racing
+  // requests all arrive while one is still building.
+  const std::string path = WriteGeometricSnapshot("svc_chain.tds", 4000, 0);
+  constexpr size_t kReloaders = 8;
+  HttpServerOptions hopts;
+  hopts.threads = kReloaders;
+  ServiceFixture fx(path, {}, hopts);
+
+  std::atomic<size_t> ready{0};
+  std::vector<std::pair<uint64_t, uint64_t>> pairs(kReloaders, {0, 0});
+  std::vector<std::thread> reloaders;
+  for (size_t t = 0; t < kReloaders; ++t) {
+    reloaders.emplace_back([&, t] {
+      auto client = HttpClient::Connect("127.0.0.1", fx.server.port());
+      ++ready;
+      while (ready.load() < kReloaders) std::this_thread::yield();
+      if (!client.ok()) return;
+      auto r = client->Post("/v1/reload", "{}");
+      if (!r.ok() || r->status != 200) return;
+      auto doc = util::JsonParse(r->body);
+      if (!doc.ok()) return;
+      pairs[t] = {
+          static_cast<uint64_t>(doc->Find("previous_version")->number_value()),
+          static_cast<uint64_t>(
+              doc->Find("snapshot_version")->number_value())};
+    });
+  }
+  for (auto& t : reloaders) t.join();
+
+  std::sort(pairs.begin(), pairs.end());
+  for (size_t i = 0; i < kReloaders; ++i) {
+    EXPECT_EQ(pairs[i].first, 1 + i) << "reload " << i;
+    EXPECT_EQ(pairs[i].second, 2 + i) << "reload " << i;
+  }
+  EXPECT_EQ(fx.service.state()->version, 1 + kReloaders);
+  std::remove(path.c_str());
+}
+
 /// The value of an unlabeled metric on a /v1/metrics scrape; -1 when the
 /// scrape fails or the sample is missing.
 double ScrapeValue(HttpClient* client, const std::string& name) {
@@ -1343,6 +1387,107 @@ TEST(MatchServiceTest, ConcurrentHotReloadSoak) {
   EXPECT_EQ(ToMatches(*final_state->engine->Query("q1", 5)), want_a);
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+/// A "Vm...:" line of /proc/self/status in bytes; -1 when absent.
+double ProcessStatusBytes(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::strtod(line.c_str() + key.size() + 1, nullptr) * 1024.0;
+    }
+  }
+  return -1.0;
+}
+
+TEST(MatchServiceTest, ReloadsFromDistinctThreadsDoNotPileUpEpochs) {
+  // Each reload runs on a fresh, long-lived thread (as /v1/reload lands on
+  // whichever HTTP worker takes it), and that thread then allocates a
+  // little, as a worker would. If epochs were built on the calling thread,
+  // each would land in that thread's glibc malloc arena, and the small
+  // allocation above it would keep the freed epoch resident: six reloads
+  // would leave about six epochs. Built on the one builder thread, the
+  // epochs share one arena and reuse each other's freed space.
+  //
+  // ASan and TSan replace malloc with allocators that have no glibc arenas
+  // and keep freed memory in quarantine, so the measurement means nothing
+  // there.
+  if (TDMATCH_TEST_UNDER_SANITIZER) {
+    GTEST_SKIP() << "allocator residue is a glibc malloc property";
+  }
+  // ~30 MB: 110k candidates at dim 64 (index-free, so a build is a copy).
+  const std::string path = TempPath("svc_residue.tds");
+  {
+    serve::Snapshot snap;
+    snap.meta.scenario = "residue";
+    snap.meta.Set("candidate_prefix", "c");
+    snap.table = embed::EmbeddingTable(64);
+    util::Rng rng(7);
+    for (size_t i = 0; i < 110000; ++i) {
+      std::vector<float> v(64);
+      for (float& x : v) x = static_cast<float>(rng.Gaussian());
+      snap.table.Put("c" + std::to_string(i), std::move(v));
+    }
+    ASSERT_TRUE(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
+  }
+  ServiceOptions sopts;
+  sopts.engine.build_ivf = false;
+  sopts.history_interval_s = 0;
+  MatchService service(sopts);
+
+  const double before = ProcessStatusBytes("VmRSS");
+  ASSERT_TRUE(service.LoadInitial(path).ok());
+  const double loaded = ProcessStatusBytes("VmRSS");
+  const double load_growth = loaded - before;
+  ASSERT_GT(load_growth, 0.0);
+
+  constexpr size_t kReloads = 6;
+  std::atomic<size_t> reloaded{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> failures{0};
+  std::vector<std::unique_ptr<char[]>> small(kReloads);
+  std::vector<std::thread> workers;
+  for (size_t i = 0; i < kReloads; ++i) {
+    workers.emplace_back([&, i] {
+      if (!service.Reload("").ok()) ++failures;
+      small[i] = std::make_unique<char[]>(64);
+      ++reloaded;
+      // Stay alive, as a worker does: an exited thread's arena would be
+      // handed to the next new thread.
+      while (!done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (reloaded.load() <= i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const double after = ProcessStatusBytes("VmRSS");
+  done = true;
+  for (auto& t : workers) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(service.state()->version, 1 + kReloads);
+  EXPECT_LE(after - loaded, 1.5 * load_growth)
+      << "first load grew RSS by " << load_growth / 1048576.0
+      << " MB; six reloads grew it by " << (after - loaded) / 1048576.0
+      << " MB more";
+  std::remove(path.c_str());
+}
+
+TEST(MatchServiceTest, ResidentMemoryGaugesReadTheProcessStatus) {
+  const std::string path = WriteGeometricSnapshot("svc_rss.tds", 12, 0);
+  ServiceFixture fx(path);
+  auto client = HttpClient::Connect("127.0.0.1", fx.server.port());
+  ASSERT_TRUE(client.ok());
+  const double resident =
+      ScrapeValue(&*client, "tdmatch_process_resident_bytes");
+  const double peak =
+      ScrapeValue(&*client, "tdmatch_process_resident_peak_bytes");
+  EXPECT_GT(resident, 0.0);
+  EXPECT_GE(peak, resident);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

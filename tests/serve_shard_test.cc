@@ -1,14 +1,20 @@
 // Tests for the scatter-gather serving stack: the consistent-hash
 // Sharder, exact-mode bit-identity of ShardedQueryEngine across shard
 // counts, per-shard adoption of the snapshot's global IVF section (and
-// the fallback on hostile ones), the AdmissionController + NprobeTuner
+// the fallback on hostile ones), the release of the snapshot pages a
+// build copied, the AdmissionController + NprobeTuner
 // front-door knobs, the striped LRU ResultCache, and the MatchService
 // overload/caching behavior over HTTP.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -658,6 +664,104 @@ TEST(ShardedEngineTest, HostileSectionsFallBackToPerShardTraining) {
     }
     std::remove(path.c_str());
   }
+}
+
+/// Start address and resident bytes of the mapping that contains `addr`,
+/// from /proc/self/smaps; rss_bytes is -1 when no mapping contains it.
+struct MappingRss {
+  uintptr_t start = 0;
+  long long rss_bytes = -1;
+};
+
+MappingRss FindMappingRss(const void* addr) {
+  const auto at = reinterpret_cast<uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  MappingRss found;
+  while (std::getline(smaps, line)) {
+    unsigned long long lo = 0, hi = 0;
+    // Range lines read "lo-hi perms ..."; field lines never parse as two
+    // hex numbers joined by '-'.
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &lo, &hi) == 2) {
+      inside = at >= lo && at < hi;
+      if (inside) found.start = static_cast<uintptr_t>(lo);
+      continue;
+    }
+    long long kb = 0;
+    if (inside && std::sscanf(line.c_str(), "Rss: %lld kB", &kb) == 1) {
+      found.rss_bytes = kb * 1024;
+      return found;
+    }
+  }
+  return found;
+}
+
+TEST(ShardedEngineTest, BuildReleasesTheSnapshotPagesItCopied) {
+  // After the build, the view's mapping keeps only its header and labels
+  // resident (plus the partial pages at either end of the released
+  // range), and every released byte reads back unchanged: LabelVector
+  // rows and exact/approx answers equal those over a never-released view.
+  const size_t n = 3000;
+  const QueryEngineOptions eopts = SectionEngineOptions(0);
+  const std::string path = WriteWithSection(
+      "shard_release.tds", ClusteredSnapshot(n, 32, 23),
+      GlobalSection(ClusteredSnapshot(n, 32, 23), eopts));
+  auto fresh = serve::SnapshotView::Open(path);
+  ASSERT_TRUE(fresh.ok());
+  auto reference = QueryEngine::BuildFromView(*fresh, "c", eopts);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->ivf_from_snapshot());
+  const long long page = static_cast<long long>(::sysconf(_SC_PAGESIZE));
+  const MappingRss unreleased = FindMappingRss((*fresh)->payload());
+  const long long fresh_label_bytes =
+      (*fresh)->payload() - reinterpret_cast<const char*>(unreleased.start);
+  // The CRC scan made the whole file resident; the check below can bite.
+  ASSERT_GT(unreleased.rss_bytes, fresh_label_bytes + 8 * page);
+
+  std::vector<std::string> labels;
+  for (size_t i = 0; i < n; ++i) {
+    labels.push_back("c" + std::to_string(i));
+    labels.push_back("q" + std::to_string(i));
+  }
+  const int dim = (*fresh)->dim();
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string ctx = "shards=" + std::to_string(shards);
+    auto view = serve::SnapshotView::Open(path);
+    ASSERT_TRUE(view.ok());
+    const std::shared_ptr<const serve::SnapshotView> released = *view;
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.engine = eopts;
+    auto sharded = ShardedQueryEngine::BuildFromView(released, "c", opts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_TRUE(sharded->ivf_from_snapshot()) << ctx;
+
+    const MappingRss mapping = FindMappingRss(released->payload());
+    ASSERT_GE(mapping.rss_bytes, 0) << ctx;
+    const long long label_bytes =
+        released->payload() - reinterpret_cast<const char*>(mapping.start);
+    EXPECT_LE(mapping.rss_bytes, label_bytes + 2 * page) << ctx;
+
+    // LabelVector copies view rows; the released rows fault back intact.
+    std::vector<float> want(static_cast<size_t>(dim));
+    std::vector<float> got(static_cast<size_t>(dim));
+    for (size_t row = 0; row < released->size(); ++row) {
+      (*fresh)->CopyRow(row, want.data());
+      released->CopyRow(row, got.data());
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * 4), 0)
+          << ctx << " row " << row;
+    }
+    for (const std::string& label : labels) {
+      for (SearchMode mode : {SearchMode::kExact, SearchMode::kApprox}) {
+        auto want_matches = reference->Query(label, 5, mode);
+        auto got_matches = sharded->Query(label, 5, mode);
+        ASSERT_TRUE(want_matches.ok() && got_matches.ok()) << label;
+        ExpectSameMatches(*want_matches, *got_matches, label + " " + ctx);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ case "$mode" in
       --require tdmatch_admission_admitted_total \
       --require tdmatch_snapshot_version \
       --require tdmatch_build_info \
+      --require tdmatch_process_resident_bytes \
+      --require tdmatch_process_resident_peak_bytes \
       --min tdmatch_queries_total:6 \
       --min tdmatch_traces_total:5 \
       --min tdmatch_reloads_total:1 \

@@ -290,7 +290,9 @@ double InstrumentedWallSeconds(const core::TDmatchResult& result,
   if (result.profile.empty()) return fallback_seconds;
   double total = 0.0;
   for (const auto& phase : result.profile.phases()) {
-    if (phase.name != "train_epoch") total += phase.seconds;
+    if (phase.name != "train_epoch" && phase.name != "train_merge") {
+      total += phase.seconds;
+    }
   }
   return total;
 }

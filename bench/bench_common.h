@@ -95,8 +95,9 @@ double MapAt5(BenchReporter& reporter, const std::string& scenario,
               const embed::PretrainedLexicon* lexicon = nullptr);
 
 /// Instrumented wall clock of a TDmatch pipeline run: the sum of its
-/// recorded phase timers ("train_epoch" entries subdivide "train" and are
-/// skipped). This is what `wall_seconds` rows should carry for pipeline
+/// recorded phase timers ("train_epoch" entries subdivide "train", and
+/// "train_merge" entries subdivide those, so both are skipped). This is
+/// what `wall_seconds` rows should carry for pipeline
 /// work — a stopwatch around a whole sweep iteration also counts scenario
 /// setup/teardown and smears it into whichever row closes the watch.
 /// Falls back to `fallback_seconds` when the profile is empty (failed or

@@ -1,19 +1,15 @@
 // Component micro-benchmarks (google-benchmark): the hot paths of the
 // pipeline — tokenization, stemming, n-grams, BFS, walk generation,
-// Word2Vec steps and top-k selection.
+// negative sampling, Word2Vec epochs and top-k selection.
 //
-// The walk / negative-sampling / top-k groups carry explicit before/after
-// pairs for the CSR hot-path overhaul: the `…Ref` variants replicate the
-// pre-CSR implementations (nested per-walk vectors over the building-state
-// adjacency, the 4 MB materialized unigram table, full partial_sort
-// selection) so the speedup of the shipped code is measurable in one run:
+// End-to-end and per-layer performance claims come from tdbench; these
+// rows isolate one component each. The README keeps the last numbers of
+// the retired `…Ref` replicas (pre-CSR walks, the materialized unigram
+// table, partial_sort selection) beside the shipped code's:
 //
-//   ./micro_components --benchmark_filter='WalkGen|NegSample|TopK'
+//   ./micro_components --benchmark_filter='WalkGen|NegSample|TopK|Word2Vec'
 
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <cmath>
 
 #include "embed/negative_sampler.h"
 #include "embed/random_walk.h"
@@ -105,45 +101,12 @@ void BM_ShortestPathDag(benchmark::State& state) {
 BENCHMARK(BM_ShortestPathDag);
 
 // ---------------------------------------------------------------------------
-// Walk generation: before (nested vectors over per-node adjacency vectors)
-// vs after (flat corpus over the CSR layout).
+// Walk generation: flat corpus over the CSR layout.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kWalkGraphNodes = 2000;
 const embed::RandomWalkOptions kWalkOpts{.num_walks = 5, .walk_length = 15,
                                          .seed = 5, .threads = 1};
-
-/// Replica of the pre-CSR walk generator: one heap-allocated vector per
-/// walk, neighbor lookups through the building-state representation.
-std::vector<std::vector<int32_t>> RefGenerateNested(
-    const graph::Graph& g, const embed::RandomWalkOptions& options) {
-  const size_t n = g.NumNodes();
-  std::vector<std::vector<int32_t>> walks(n * options.num_walks);
-  for (size_t v = 0; v < n; ++v) {
-    util::Rng rng(options.seed ^ (0x9e3779b97f4a7c15ULL * (v + 1)));
-    for (size_t w = 0; w < options.num_walks; ++w) {
-      std::vector<int32_t>& walk = walks[v * options.num_walks + w];
-      walk.reserve(options.walk_length);
-      graph::NodeId cur = static_cast<graph::NodeId>(v);
-      walk.push_back(cur);
-      for (size_t step = 1; step < options.walk_length; ++step) {
-        const auto nbs = g.Neighbors(cur);
-        if (nbs.empty()) break;
-        cur = nbs[static_cast<size_t>(rng.UniformInt(nbs.size()))];
-        walk.push_back(cur);
-      }
-    }
-  }
-  return walks;
-}
-
-void BM_WalkGenRef(benchmark::State& state) {
-  auto g = RandomGraph(kWalkGraphNodes, 6, 4);  // building-state adjacency
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RefGenerateNested(g, kWalkOpts));
-  }
-}
-BENCHMARK(BM_WalkGenRef);
 
 void BM_WalkGenCsr(benchmark::State& state) {
   auto g = RandomGraph(kWalkGraphNodes, 6, 4);
@@ -168,8 +131,7 @@ void BM_RandomWalks(benchmark::State& state) {
 BENCHMARK(BM_RandomWalks);
 
 // ---------------------------------------------------------------------------
-// Negative sampling: before (4 MB materialized table, one random read per
-// sample) vs after (boundary binary search over a vocab-sized array).
+// Negative sampling: bucketed boundary search over vocab-sized arrays.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kNegVocab = 20000;
@@ -186,44 +148,15 @@ std::vector<uint64_t> ZipfCounts(size_t vocab) {
 constexpr int kNegDim = 48;
 
 /// The trainer's access pattern: every sampled id is immediately used to
-/// touch that word's output row (syn1neg). Benchmarking the bare lookup
-/// instead would let out-of-order execution hide the 4 MB table's cache
-/// misses behind the RNG chain — in the real gradient loop they stall the
-/// dot product, and the table evicts the weight rows on top. The row
-/// matrix is part of the working set here for exactly that reason.
+/// touch that word's output row (syn1neg), so the row matrix is part of
+/// the working set — a bare lookup would let out-of-order execution hide
+/// the sampler's latency behind the RNG chain.
 std::vector<float> NegRowMatrix() {
   std::vector<float> rows(kNegVocab * kNegDim);
   util::Rng rng(12);
   for (auto& v : rows) v = static_cast<float>(rng.Uniform());
   return rows;
 }
-
-void BM_NegSampleTableRef(benchmark::State& state) {
-  // Replica of the pre-overhaul sampler: the full materialized table.
-  auto counts = ZipfCounts(kNegVocab);
-  std::vector<int32_t> table(kNegTableSize, 0);
-  double norm = 0.0;
-  for (uint64_t c : counts) norm += std::pow(static_cast<double>(c), 0.75);
-  size_t i = 0;
-  double cum = std::pow(static_cast<double>(counts[0]), 0.75) / norm;
-  for (size_t t = 0; t < kNegTableSize; ++t) {
-    table[t] = static_cast<int32_t>(i);
-    if (static_cast<double>(t) / kNegTableSize > cum && i + 1 < kNegVocab) {
-      ++i;
-      cum += std::pow(static_cast<double>(counts[i]), 0.75) / norm;
-    }
-  }
-  auto rows = NegRowMatrix();
-  util::Rng rng(11);
-  for (auto _ : state) {
-    const int32_t target = table[rng.Next() & (kNegTableSize - 1)];
-    float sum = 0.0f;
-    const float* row = rows.data() + static_cast<size_t>(target) * kNegDim;
-    for (int d = 0; d < kNegDim; ++d) sum += row[d];
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_NegSampleTableRef);
 
 void BM_NegSampleBounds(benchmark::State& state) {
   embed::NegativeSampler sampler;
@@ -242,7 +175,9 @@ void BM_NegSampleBounds(benchmark::State& state) {
 BENCHMARK(BM_NegSampleBounds);
 
 // ---------------------------------------------------------------------------
-// Word2Vec epoch over the shipped trainer (nested input vs flat corpus).
+// Word2Vec epoch over the shipped trainer (nested input vs flat corpus),
+// on one thread: the shape tdbench times. With the default pool of 4 the
+// rows would time the per-group barrier waits, not the trainer.
 // ---------------------------------------------------------------------------
 
 std::vector<std::vector<int32_t>> SyntheticSentences() {
@@ -262,6 +197,7 @@ embed::Word2VecOptions EpochOptions() {
   o.dim = 48;
   o.epochs = 1;
   o.subsample = 1e-3;
+  o.threads = 1;
   return o;
 }
 
@@ -284,8 +220,7 @@ void BM_Word2VecEpochFlat(benchmark::State& state) {
 BENCHMARK(BM_Word2VecEpochFlat);
 
 // ---------------------------------------------------------------------------
-// Top-k selection: before (partial_sort over the full index array) vs
-// after (bounded heap for small k). Same output, different work.
+// Top-k selection: bounded heap for small k.
 // ---------------------------------------------------------------------------
 
 std::vector<double> RandomScores(size_t n) {
@@ -294,36 +229,6 @@ std::vector<double> RandomScores(size_t n) {
   for (auto& s : scores) s = rng.Uniform();
   return scores;
 }
-
-/// Replica of the pre-overhaul Select: partial_sort over all candidates.
-std::vector<match::Match> RefSelectPartialSort(
-    const std::vector<double>& scores, size_t k) {
-  k = std::min(k, scores.size());
-  std::vector<int32_t> idx(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) idx[i] = static_cast<int32_t>(i);
-  std::partial_sort(idx.begin(),
-                    idx.begin() + static_cast<std::ptrdiff_t>(k), idx.end(),
-                    [&](int32_t a, int32_t b) {
-                      double sa = scores[static_cast<size_t>(a)];
-                      double sb = scores[static_cast<size_t>(b)];
-                      if (sa != sb) return sa > sb;
-                      return a < b;
-                    });
-  std::vector<match::Match> out;
-  out.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.push_back(match::Match{idx[i], scores[static_cast<size_t>(idx[i])]});
-  }
-  return out;
-}
-
-void BM_TopKSelectRef(benchmark::State& state) {
-  auto scores = RandomScores(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RefSelectPartialSort(scores, 20));
-  }
-}
-BENCHMARK(BM_TopKSelectRef)->Arg(1000)->Arg(100000);
 
 void BM_TopKSelect(benchmark::State& state) {
   auto scores = RandomScores(static_cast<size_t>(state.range(0)));

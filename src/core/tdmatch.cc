@@ -149,8 +149,9 @@ util::Result<TDmatchResult> TDmatch::Run(const corpus::Corpus& first,
   TDM_RETURN_NOT_OK(w2v.Train(walks, g.NumNodes()));
   result.train_seconds = watch.ElapsedSeconds();
   result.profile.Add("train", result.train_seconds);
-  for (double epoch_s : w2v.epoch_seconds()) {
-    result.profile.Add("train_epoch", epoch_s);
+  for (size_t e = 0; e < w2v.epoch_seconds().size(); ++e) {
+    result.profile.Add("train_epoch", w2v.epoch_seconds()[e]);
+    result.profile.Add("train_merge", w2v.merge_seconds()[e]);
   }
 
   // --- Matching (§IV-B) ------------------------------------------------------

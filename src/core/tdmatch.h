@@ -99,9 +99,10 @@ struct TDmatchResult {
   double train_seconds = 0;
   double match_seconds = 0;
   /// The same wall-clock phases as the *_seconds fields above (plus
-  /// per-epoch "train_epoch" entries and "export" when embeddings are
-  /// exported), in pipeline order — the structured form benchmark
-  /// reporters and snapshot metadata consume.
+  /// per-epoch "train_epoch" entries, each followed by its "train_merge"
+  /// share, and "export" when embeddings are exported), in pipeline
+  /// order — the structured form benchmark reporters and snapshot
+  /// metadata consume.
   util::obs::PhaseProfile profile;
 };
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/simd/kernels.h"
 #include "util/thread_pool.h"
 
 namespace tdmatch {
@@ -120,8 +121,8 @@ inline float FastSigmoid(float x) {
 /// block then trains on its private copies, so within-block SGD stays
 /// fully sequential while the shared weights are only ever *read*.
 /// Capture() turns the local copies into deltas (local − shared) and
-/// Merge() adds them back; row storage is chunked so returned pointers
-/// stay valid across later touches.
+/// MergeWeighted() adds them back; row storage is chunked so returned
+/// pointers stay valid across later touches.
 class SparseDelta {
  public:
   /// Rows per storage chunk; chunks are retained across Reset() so steady
@@ -158,13 +159,15 @@ class SparseDelta {
 
   /// Converts every touched local row into a delta against the shared
   /// weights (still frozen at group start) and clears the caller's slot
-  /// map for the next block.
-  void Capture(int32_t* slot_map) {
+  /// map for the next block. The subtraction runs as the dispatched
+  /// `axpy(-1, base, local)`, which is exact: `-1 * x` is exact and IEEE
+  /// defines `y - x` as `y + (-x)`, so every ISA writes the bits of the
+  /// plain `local - base` loop.
+  void Capture(int32_t* slot_map, const simd::Kernels& k) {
+    const size_t dn = static_cast<size_t>(dim_);
     for (size_t i = 0; i < touched_.size(); ++i) {
-      float* p = SlotPtr(i);
-      const float* base =
-          shared_ + static_cast<size_t>(touched_[i]) * dim_;
-      for (int d = 0; d < dim_; ++d) p[d] -= base[d];
+      const float* base = shared_ + static_cast<size_t>(touched_[i]) * dn;
+      k.axpy(-1.0f, base, SlotPtr(i), dn);
       slot_map[touched_[i]] = -1;
     }
   }
@@ -173,15 +176,16 @@ class SparseDelta {
   /// 1/sqrt(counts[row]) where counts[row] is the number of blocks in the
   /// merge group that touched the row — see the file comment on why the
   /// sum must be damped. Called in canonical block order by the merge
-  /// phase.
-  void MergeWeighted(const uint32_t* counts) const {
+  /// phase. Each row is the dispatched `axpy(inv, delta, base)`: every
+  /// ISA rounds the product and then the sum, never fused (kernels.h), so
+  /// the result is the bits of `base + delta * inv` on either path.
+  void MergeWeighted(const uint32_t* counts, const simd::Kernels& k) const {
+    const size_t dn = static_cast<size_t>(dim_);
     for (size_t i = 0; i < touched_.size(); ++i) {
-      const float* p = SlotPtr(i);
       const int32_t row = touched_[i];
-      float* base = shared_ + static_cast<size_t>(row) * dim_;
       const float inv =
           1.0f / std::sqrt(static_cast<float>(counts[row]));
-      for (int d = 0; d < dim_; ++d) base[d] += p[d] * inv;
+      k.axpy(inv, SlotPtr(i), shared_ + static_cast<size_t>(row) * dn, dn);
     }
   }
 

@@ -148,8 +148,8 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
           k.add(grad, v, dn);
         }
       }
-      bd.docs.Capture(slot_docs);
-      bd.words.Capture(slot_words);
+      bd.docs.Capture(slot_docs, k);
+      bd.words.Capture(slot_words, k);
     };
 
     auto merge = [&](size_t group_begin, size_t group_end) {
@@ -160,8 +160,8 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
       }
       for (size_t b = group_begin; b < group_end; ++b) {
         const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        bd.docs.MergeWeighted(touch_docs.data());
-        bd.words.MergeWeighted(touch_words.data());
+        bd.docs.MergeWeighted(touch_docs.data(), k);
+        bd.words.MergeWeighted(touch_words.data(), k);
       }
       for (size_t b = group_begin; b < group_end; ++b) {
         const BlockDelta& bd = deltas[b % kBlocksPerGroup];

@@ -150,6 +150,8 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
 
   epoch_seconds_.clear();
   epoch_seconds_.reserve(static_cast<size_t>(options_.epochs));
+  merge_seconds_.clear();
+  merge_seconds_.reserve(static_cast<size_t>(options_.epochs));
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     util::StopWatch epoch_watch;
     const uint64_t epoch_words =
@@ -277,14 +279,16 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
           }
         }
       }
-      bd.syn0.Capture(slot0);
-      bd.syn1.Capture(slot1);
+      bd.syn0.Capture(slot0, k);
+      bd.syn1.Capture(slot1, k);
     };
 
     // Weighted group merge: each row's delta is averaged over the blocks
     // of the group that touched it (see block_sharder.h on why a plain
-    // sum diverges on walk corpora).
+    // sum diverges on walk corpora). One clock pair per group times it.
+    double merge_s = 0.0;
     auto merge = [&](size_t group_begin, size_t group_end) {
+      const util::StopWatch merge_watch;
       for (size_t b = group_begin; b < group_end; ++b) {
         const BlockDelta& bd = deltas[b % kBlocksPerGroup];
         for (int32_t row : bd.syn0.touched()) ++touch0[row];
@@ -292,18 +296,20 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
       }
       for (size_t b = group_begin; b < group_end; ++b) {
         const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        bd.syn0.MergeWeighted(touch0.data());
-        bd.syn1.MergeWeighted(touch1.data());
+        bd.syn0.MergeWeighted(touch0.data(), k);
+        bd.syn1.MergeWeighted(touch1.data(), k);
       }
       for (size_t b = group_begin; b < group_end; ++b) {
         const BlockDelta& bd = deltas[b % kBlocksPerGroup];
         for (int32_t row : bd.syn0.touched()) touch0[row] = 0;
         for (int32_t row : bd.syn1.touched()) touch1[row] = 0;
       }
+      merge_s += merge_watch.ElapsedSeconds();
     };
 
     sched.RunEpoch(compute, merge);
     epoch_seconds_.push_back(epoch_watch.ElapsedSeconds());
+    merge_seconds_.push_back(merge_s);
   }
 
   trained_ = true;

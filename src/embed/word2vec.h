@@ -93,6 +93,11 @@ class Word2Vec {
   /// schedule, so trained vectors stay bit-identical.
   const std::vector<double>& epoch_seconds() const { return epoch_seconds_; }
 
+  /// Wall seconds of each epoch spent in the serial group merges (one
+  /// entry per epoch, a part of the matching epoch_seconds() entry; the
+  /// rest is block compute and, with threads > 1, barrier waits).
+  const std::vector<double>& merge_seconds() const { return merge_seconds_; }
+
  private:
   util::Status TrainSpans(const TokenSpan* sentences, size_t num_sentences,
                           size_t vocab_size);
@@ -103,6 +108,7 @@ class Word2Vec {
   std::vector<float> syn0_;     // input vectors, vocab_size x dim
   std::vector<float> syn1neg_;  // output vectors, vocab_size x dim
   std::vector<double> epoch_seconds_;
+  std::vector<double> merge_seconds_;
   /// Boundary-form unigram^0.75 sampler (replaces the 4 MB table).
   NegativeSampler sampler_;
 };

@@ -288,6 +288,28 @@ TEST(BenchScenarioTest, SmokeIsSmallerThanSweep) {
             medium[0].data.scenario.second.NumDocs());
 }
 
+// ------------------------------------------------- instrumented wall ----
+
+TEST(InstrumentedWallTest, SkipsEpochAndMergeSubdivisionsOfTrain) {
+  core::TDmatchResult result;
+  result.profile.Add("graph_build", 1.0);
+  result.profile.Add("walks", 2.0);
+  result.profile.Add("train", 4.0);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    result.profile.Add("train_epoch", 2.0);
+    result.profile.Add("train_merge", 0.5);
+  }
+  result.profile.Add("match", 0.25);
+  // graph_build + walks + train + match; the epochs and their merges are
+  // already inside "train" and must not be counted again.
+  EXPECT_DOUBLE_EQ(InstrumentedWallSeconds(result, 99.0), 7.25);
+}
+
+TEST(InstrumentedWallTest, EmptyProfileFallsBack) {
+  core::TDmatchResult result;
+  EXPECT_DOUBLE_EQ(InstrumentedWallSeconds(result, 3.5), 3.5);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace tdmatch

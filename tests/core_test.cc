@@ -44,6 +44,25 @@ TEST(TDmatchTest, ResultCarriesStatsAndTimings) {
   EXPECT_GE(result->train_seconds, 0.0);
 }
 
+TEST(TDmatchTest, ProfileFollowsEveryTrainEpochWithItsMergeShare) {
+  auto s = MiniScenario(10);
+  TDmatchOptions options = FastOptions();
+  TDmatch engine(options);
+  auto result = engine.Run(s.first, s.second);
+  ASSERT_TRUE(result.ok());
+  const auto& phases = result->profile.phases();
+  size_t epochs = 0;
+  for (size_t i = 0; i < phases.size(); ++i) {
+    if (phases[i].name != "train_epoch") continue;
+    ++epochs;
+    ASSERT_LT(i + 1, phases.size());
+    EXPECT_EQ(phases[i + 1].name, "train_merge");
+    EXPECT_GE(phases[i + 1].seconds, 0.0);
+    EXPECT_LE(phases[i + 1].seconds, phases[i].seconds);
+  }
+  EXPECT_EQ(epochs, static_cast<size_t>(options.w2v.epochs));
+}
+
 TEST(TDmatchTest, DeterministicScores) {
   auto s = MiniScenario(8);
   TDmatchOptions o = FastOptions();

@@ -18,14 +18,18 @@
 //  * Word2Vec and Doc2Vec train byte-identical vectors under the scalar
 //    and the AVX2 kernel tables (the trainers dispatch, and the kernels
 //    they call are bit-exact between ISAs);
-//  * the boundary-form negative sampler emits the same id sequence as
-//    the classic materialized table it replaced.
+//  * SparseDelta's kernel-backed capture and merge write the bytes of
+//    the plain loops on either ISA;
+//  * the bucketed boundary-form negative sampler emits the same id as
+//    the classic materialized table it replaced, slot for slot, on small,
+//    large and adversarial vocabularies.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 
+#include "embed/block_sharder.h"
 #include "embed/doc2vec.h"
 #include "embed/negative_sampler.h"
 #include "embed/random_walk.h"
@@ -396,6 +400,78 @@ TEST(CrossIsaTest, Doc2VecTrainAndInferAreByteIdenticalOnScalarAndAvx2) {
 }
 
 // ---------------------------------------------------------------------------
+// SparseDelta: kernel-backed capture and merge keep the hand loop's bytes
+// ---------------------------------------------------------------------------
+
+/// Two blocks over a shared 12-row matrix touch overlapping rows (rows 3
+/// and 7 by both, so their merge weight is 1/sqrt(2)), train their local
+/// copies, capture and merge in block order. The result must equal, byte
+/// for byte, the hand loop `base + (local - base) * (1/sqrt(c))` applied
+/// block after block, on every ISA the machine runs.
+TEST(SparseDeltaTest, CaptureAndMergeMatchHandLoopBytesOnEveryIsa) {
+  constexpr int kRows = 12;
+  const std::vector<std::vector<int32_t>> kBlockRows = {{3, 0, 7, 5},
+                                                        {7, 11, 3, 2, 9}};
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  if (Avx2Available()) isas.push_back(simd::Isa::kAvx2);
+  for (simd::Isa which : isas) {
+    ScopedIsa isa(which);
+    const simd::Kernels& k = simd::Active();
+    for (int dim : {1, 7, 13, 48, 64}) {
+      const size_t dn = static_cast<size_t>(dim);
+      util::Rng rng(static_cast<uint64_t>(dim));
+      std::vector<float> shared(kRows * dn);
+      for (float& v : shared) v = static_cast<float>(rng.Uniform() - 0.5);
+      std::vector<float> expect = shared;
+
+      // Local updates of every touched row, block by block.
+      std::vector<std::vector<std::vector<float>>> local(kBlockRows.size());
+      std::vector<uint32_t> counts(kRows, 0);
+      for (size_t blk = 0; blk < kBlockRows.size(); ++blk) {
+        for (int32_t row : kBlockRows[blk]) {
+          std::vector<float> v(shared.begin() + row * dim,
+                               shared.begin() + (row + 1) * dim);
+          for (float& x : v) x += static_cast<float>(rng.Uniform() - 0.5);
+          local[blk].push_back(v);
+          ++counts[static_cast<size_t>(row)];
+        }
+      }
+
+      std::vector<int32_t> slot_map(kRows, -1);
+      std::vector<SparseDelta> deltas(kBlockRows.size());
+      for (size_t blk = 0; blk < kBlockRows.size(); ++blk) {
+        deltas[blk].Reset(shared.data(), dim);
+        for (size_t r = 0; r < kBlockRows[blk].size(); ++r) {
+          float* p = deltas[blk].Row(kBlockRows[blk][r], slot_map.data());
+          std::memcpy(p, local[blk][r].data(), dn * sizeof(float));
+        }
+        deltas[blk].Capture(slot_map.data(), k);
+        for (int32_t slot : slot_map) ASSERT_EQ(slot, -1);
+      }
+      for (const SparseDelta& delta : deltas) {
+        delta.MergeWeighted(counts.data(), k);
+      }
+
+      // Hand loop: deltas against the frozen matrix, merged in block order.
+      const std::vector<float> frozen = expect;
+      for (size_t blk = 0; blk < kBlockRows.size(); ++blk) {
+        for (size_t r = 0; r < kBlockRows[blk].size(); ++r) {
+          const size_t row = static_cast<size_t>(kBlockRows[blk][r]);
+          const float inv = 1.0f / std::sqrt(static_cast<float>(counts[row]));
+          for (size_t d = 0; d < dn; ++d) {
+            const float delta = local[blk][r][d] - frozen[row * dn + d];
+            expect[row * dn + d] = expect[row * dn + d] + delta * inv;
+          }
+        }
+      }
+      EXPECT_EQ(0, std::memcmp(shared.data(), expect.data(),
+                               shared.size() * sizeof(float)))
+          << simd::IsaName(which) << " dim=" << dim;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Negative sampler vs the classic materialized table
 // ---------------------------------------------------------------------------
 
@@ -448,6 +524,60 @@ TEST(NegativeSamplerTest, SingleWordVocab) {
   for (size_t t = 0; t < (1u << 10); t += 97) {
     EXPECT_EQ(sampler.Sample(t), 0);
   }
+}
+
+/// Builds the sampler and compares every slot against the classic table.
+void ExpectEverySlotMatchesClassicTable(const std::vector<uint64_t>& counts,
+                                        size_t table_size) {
+  const auto table = ClassicUnigramTable(counts, table_size);
+  NegativeSampler sampler;
+  sampler.Build(counts, table_size);
+  for (size_t t = 0; t < table_size; ++t) {
+    ASSERT_EQ(sampler.Sample(t), table[t]) << "slot " << t;
+  }
+}
+
+std::vector<uint64_t> Zipf(size_t vocab) {
+  std::vector<uint64_t> counts(vocab);
+  for (size_t i = 0; i < vocab; ++i) {
+    counts[i] = static_cast<uint64_t>(1e6 / static_cast<double>(i + 1)) + 1;
+  }
+  return counts;
+}
+
+TEST(NegativeSamplerTest, ZipfVocabularyMatchesClassicTable) {
+  ExpectEverySlotMatchesClassicTable(Zipf(50000), 1 << 20);
+}
+
+TEST(NegativeSamplerTest, HubsAmongSingletonsMatchClassicTable) {
+  // Three hubs take most of the mass and the singletons get one slot
+  // each, so runs of consecutive boundaries crowd single buckets and the
+  // in-bucket search takes steps: up to 64 words a bucket with 3k
+  // singletons (16384 buckets of 64 slots), two with 300k (one slot per
+  // bucket, the cap).
+  for (size_t singletons : {3000u, 300000u}) {
+    std::vector<uint64_t> counts(singletons + 3, 1);
+    counts[0] = 50000000;
+    counts[singletons / 2 + 1] = 20000000;
+    counts[singletons + 2] = 10000000;
+    ExpectEverySlotMatchesClassicTable(counts, 1 << 20);
+  }
+}
+
+TEST(NegativeSamplerTest, VocabLargerThanTableMatchesClassicTable) {
+  // 2M words over 1M slots: the tail of the vocabulary is never reached.
+  util::Rng rng(17);
+  std::vector<uint64_t> counts(2000000);
+  for (uint64_t& c : counts) c = 1 + rng.UniformInt(5);
+  ExpectEverySlotMatchesClassicTable(counts, 1 << 20);
+}
+
+TEST(NegativeSamplerTest, NonPowerOfTwoTableMatchesClassicTable) {
+  util::Rng rng(23);
+  std::vector<uint64_t> counts(1850);
+  for (uint64_t& c : counts) c = rng.UniformInt(1000);
+  ExpectEverySlotMatchesClassicTable(counts, 1000003);
+  ExpectEverySlotMatchesClassicTable(Zipf(50000), 1000003);
 }
 
 }  // namespace

@@ -337,5 +337,23 @@ void RunMapSweep(BenchReporter& reporter, const std::string& param_name,
   }
 }
 
+std::vector<std::vector<float>> MakeClusteredVectors(size_t n, int dim,
+                                                     size_t centers,
+                                                     util::Rng* rng) {
+  const size_t d = static_cast<size_t>(dim);
+  std::vector<std::vector<float>> anchor(centers, std::vector<float>(d));
+  for (auto& c : anchor) {
+    for (auto& x : c) x = static_cast<float>(rng->Gaussian());
+  }
+  std::vector<std::vector<float>> out(n, std::vector<float>(d));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      out[i][j] = anchor[i % centers][j] +
+                  0.35f * static_cast<float>(rng->Gaussian());
+    }
+  }
+  return out;
+}
+
 }  // namespace bench
 }  // namespace tdmatch

@@ -17,6 +17,7 @@
 #include "datagen/imdb.h"
 #include "datagen/sts.h"
 #include "match/method.h"
+#include "util/rng.h"
 
 namespace tdmatch {
 namespace bench {
@@ -130,6 +131,15 @@ std::vector<SweepPoint> NumericPoints(
 void RunMapSweep(BenchReporter& reporter, const std::string& param_name,
                  const std::vector<SweepScenario>& scenarios,
                  const std::vector<SweepPoint>& points);
+
+/// `n` vectors in `dim` dimensions around `centers` Gaussian anchors
+/// (vector i belongs to anchor i mod centers, plus N(0, 0.35²) noise per
+/// coordinate) — the cluster structure an inverted-file index exploits;
+/// uniform random vectors would degrade every ANN index to a scan. The
+/// serving benches build their synthetic corpora from it.
+std::vector<std::vector<float>> MakeClusteredVectors(size_t n, int dim,
+                                                     size_t centers,
+                                                     util::Rng* rng);
 
 }  // namespace bench
 }  // namespace tdmatch

@@ -1,17 +1,17 @@
-// End-to-end benchmark of the HTTP serving front end: a MatchService +
+// Observability cost of the HTTP serving front end: a MatchService +
 // HttpServer pair serving a synthetic snapshot in-process, driven by
-// concurrent serve::http::HttpClient threads over persistent connections.
+// serve::http::HttpClient threads over persistent loopback connections.
 //
-// Measures what a caller actually pays — JSON parse, engine query, JSON
-// serialize, and a real TCP round trip on loopback — as qps and latency
-// percentiles across a (connections × batch size) grid, plus the cost of
-// a live snapshot hot-reload under load.
-//
-// Every metric here is a timing (qps / _ms): tools/check_bench.py never
-// value-compares them, it only gates that the rows keep existing and that
-// the per-scenario wall time stays within budget. Each grid cell runs for
-// a fixed wall duration, so the scenario's total wall is machine-
-// independent by construction.
+// Three measurements, each gated by tools/check_bench.py:
+//  * obs_overhead_ratio — untraced vs 10%-sampled tracing qps
+//    (--max-obs-overhead);
+//  * profiler_overhead_ratio — profiler off vs armed at 99 Hz
+//    (--max-profiler-overhead);
+//  * history_memory_bytes — metric-history ring memory per sampling
+//    cadence (the *_bytes growth gate).
+// The qps rows beside the ratios are timings and never value-compared.
+// Serving latency and throughput themselves are timed open-loop by
+// tdbench's serve_lookup / serve_scan workloads.
 
 #include <algorithm>
 #include <atomic>
@@ -29,7 +29,6 @@
 #include "util/logging.h"
 #include "util/obs/jsonlog.h"
 #include "util/obs/profiler.h"
-#include "util/obs/slo.h"
 #include "util/obs/timeseries.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -38,13 +37,9 @@ using namespace tdmatch;  // NOLINT
 
 namespace {
 
-double Percentile(std::vector<double> ms, double p) {
-  if (ms.empty()) return 0.0;
-  std::sort(ms.begin(), ms.end());
-  const size_t idx = std::min(
-      ms.size() - 1, static_cast<size_t>(p * static_cast<double>(ms.size())));
-  return ms[idx];
-}
+/// Paired off/on rounds per overhead section; the gate takes the minimum
+/// ratio over them.
+constexpr int kRounds = 5;
 
 std::string TempSnapshotPath() {
   std::string path = "serve_http_bench.tds";
@@ -54,65 +49,33 @@ std::string TempSnapshotPath() {
   return "/tmp/" + path;
 }
 
-/// Clustered unit vectors, same construction as bench/serve_qps.
-std::vector<std::vector<float>> MakeClusteredVectors(size_t n, int dim,
-                                                     size_t centers,
-                                                     util::Rng* rng) {
-  std::vector<std::vector<float>> anchor(centers);
-  for (auto& c : anchor) {
-    c.resize(static_cast<size_t>(dim));
-    for (auto& x : c) x = static_cast<float>(rng->Gaussian());
-  }
-  std::vector<std::vector<float>> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& c = anchor[i % centers];
-    out[i].resize(static_cast<size_t>(dim));
-    for (int d = 0; d < dim; ++d) {
-      out[i][static_cast<size_t>(d)] =
-          c[static_cast<size_t>(d)] +
-          0.35f * static_cast<float>(rng->Gaussian());
-    }
-  }
-  return out;
-}
-
-struct LoadResult {
-  uint64_t queries = 0;
-  uint64_t errors = 0;
-  std::vector<double> request_ms;
-};
-
 /// Drives the server with `connections` client threads, each posting
-/// `batch`-label /v1/query requests for `seconds` of wall time.
-LoadResult DriveLoad(uint16_t port, size_t n_vectors, size_t connections,
-                     size_t batch, double seconds, uint64_t seed) {
+/// single-label /v1/query requests for `seconds` of wall time, and
+/// returns the answered query count.
+uint64_t DriveLoad(uint16_t port, size_t n_vectors, size_t connections,
+                   double seconds, uint64_t seed) {
   std::atomic<bool> stop{false};
-  std::vector<LoadResult> per_thread(connections);
+  std::vector<uint64_t> answered(connections, 0);
+  std::vector<uint64_t> errors(connections, 0);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < connections; ++t) {
     threads.emplace_back([&, t] {
-      LoadResult& mine = per_thread[t];
       auto client = serve::http::HttpClient::Connect("127.0.0.1", port);
       if (!client.ok()) {
-        ++mine.errors;
+        ++errors[t];
         return;
       }
       util::Rng rng(seed + 1000 + t);
-      std::string body = "{\"k\": 5, \"labels\": [";
-      for (size_t i = 0; i < batch; ++i) {
-        if (i > 0) body += ", ";
-        body += "\"v" + std::to_string(rng.UniformInt(n_vectors)) + "\"";
-      }
-      body += "]}";
+      const std::string body =
+          "{\"k\": 5, \"labels\": [\"v" +
+          std::to_string(rng.UniformInt(n_vectors)) + "\"]}";
       while (!stop.load(std::memory_order_relaxed)) {
-        util::StopWatch one;
         auto r = client->Post("/v1/query", body);
         if (!r.ok() || r->status != 200) {
-          ++mine.errors;
+          ++errors[t];
           continue;
         }
-        mine.request_ms.push_back(one.ElapsedMillis());
-        mine.queries += batch;
+        ++answered[t];
       }
     });
   }
@@ -122,16 +85,34 @@ LoadResult DriveLoad(uint16_t port, size_t n_vectors, size_t connections,
   }
   stop.store(true);
   for (auto& t : threads) t.join();
-
-  LoadResult total;
-  for (auto& r : per_thread) {
-    total.queries += r.queries;
-    total.errors += r.errors;
-    total.request_ms.insert(total.request_ms.end(), r.request_ms.begin(),
-                            r.request_ms.end());
-  }
+  uint64_t total_errors = 0;
+  for (uint64_t e : errors) total_errors += e;
+  TDM_CHECK(total_errors == 0) << total_errors << " request errors";
+  uint64_t total = 0;
+  for (uint64_t a : answered) total += a;
   return total;
 }
+
+/// Best qps of each side and the minimum paired off/on ratio over
+/// kRounds rounds. Loopback qps at these short cells is noisy (+-10%
+/// round to round), which would swamp a single-shot ratio. Each round
+/// runs off and on back to back under near-identical machine conditions;
+/// noise that happens to slow the "on" side inflates some rounds but
+/// rarely all of them, while a real regression inflates every round — so
+/// the minimum stays a tight upper-bound estimate of true overhead.
+struct Overhead {
+  double qps_off = 0.0;
+  double qps_on = 0.0;
+  double ratio = 1e9;
+
+  void AddRound(uint64_t off, uint64_t on, double seconds) {
+    const double off_qps = static_cast<double>(off) / seconds;
+    const double on_qps = static_cast<double>(on) / seconds;
+    qps_off = std::max(qps_off, off_qps);
+    qps_on = std::max(qps_on, on_qps);
+    ratio = std::min(ratio, off_qps / std::max(on_qps, 1e-9));
+  }
+};
 
 void RunHttpSynthetic(bench::BenchReporter& rep,
                       const bench::BenchOptions& opts) {
@@ -152,8 +133,7 @@ void RunHttpSynthetic(bench::BenchReporter& rep,
 
   // --- snapshot on disk, served over mmap --------------------------------
   util::Rng rng(seed);
-  util::StopWatch watch;
-  const auto vectors = MakeClusteredVectors(n, dim, 64, &rng);
+  const auto vectors = bench::MakeClusteredVectors(n, dim, 64, &rng);
   embed::EmbeddingTable table(dim);
   for (size_t i = 0; i < n; ++i) {
     table.Put("v" + std::to_string(i), vectors[i]);
@@ -163,253 +143,129 @@ void RunHttpSynthetic(bench::BenchReporter& rep,
   meta.Set("candidate_prefix", "v");
   const std::string path = TempSnapshotPath();
   TDM_CHECK(serve::SnapshotIo::Write(table, meta, path).ok());
-  const double gen_seconds = watch.ElapsedSeconds();
 
-  watch.Reset();
+  serve::http::HttpServerOptions hopts;
+  // More workers than the 2 load connections, so a connection still
+  // closing from the previous cell never delays the next cell's accept.
+  hopts.threads = 6;
   serve::http::ServiceOptions sopts;
   sopts.engine.ivf.seed = seed;
   serve::http::MatchService service(sopts);
-  {
-    const util::Status st = service.LoadInitial(path);
-    TDM_CHECK(st.ok()) << st.ToString();
-  }
-  const double load_seconds = watch.ElapsedSeconds();
-
-  serve::http::HttpServerOptions hopts;
-  hopts.threads = 6;  // max connections below + one for the reload client
   serve::http::HttpServer server(hopts);
-  service.Register(&server);
   {
-    const util::Status st = server.Start();
+    util::Status st = service.LoadInitial(path);
+    TDM_CHECK(st.ok()) << st.ToString();
+    service.Register(&server);
+    st = server.Start();
     TDM_CHECK(st.ok()) << st.ToString();
   }
-  rep.Printf("\nHTTP serving: n=%zu dim=%d (gen+write %.2fs, mmap load + "
-             "engine build %.3fs), %zu worker threads, fixed %.2fs per "
-             "cell\n",
-             n, dim, gen_seconds, load_seconds, hopts.threads, seconds);
-  rep.Add(scenario, "snapshot", "load_seconds", load_seconds, load_seconds);
-
-  // --- the (connections × batch) grid ------------------------------------
-  rep.Printf("%-20s %-10s %-10s %-10s\n", "config", "qps", "p50_ms",
-             "p99_ms");
-  for (const size_t connections : {size_t{1}, size_t{4}}) {
-    for (const size_t batch : {size_t{1}, size_t{16}}) {
-      const LoadResult load =
-          DriveLoad(server.port(), n, connections, batch, seconds, seed);
-      TDM_CHECK(load.errors == 0) << load.errors << " request errors";
-      const double qps = static_cast<double>(load.queries) / seconds;
-      const double p50 = Percentile(load.request_ms, 0.5);
-      const double p99 = Percentile(load.request_ms, 0.99);
-      const std::string param = "conn=" + std::to_string(connections) +
-                                ",batch=" + std::to_string(batch);
-      rep.Add(scenario, param, "qps", qps, seconds);
-      rep.Add(scenario, param, "p50_ms", p50, 0.0);
-      rep.Add(scenario, param, "p99_ms", p99, 0.0);
-      rep.Printf("%-20s %-10.0f %-10.3f %-10.3f\n", param.c_str(), qps, p50,
-                 p99);
-    }
-  }
+  rep.Printf("\nHTTP serving: n=%zu dim=%d, %zu worker threads, 2 "
+             "connections, %d paired rounds of %.2fs\n",
+             n, dim, hopts.threads, kRounds, seconds);
 
   // --- observability overhead ---------------------------------------------
   // Same snapshot served by a second service with production-rate tracing
   // (10% of requests carry per-stage spans + histograms + one JSONL line
   // into a counting sink; the other 90% pay one sampler branch) against
-  // the untraced server above. Alternating best-of-3 rounds on a
-  // single-label config — where per-request overhead is least amortized —
-  // feed the obs_overhead_ratio row check_bench gates with
-  // --max-obs-overhead (<= 5%: tracing must stay cheap enough to leave on).
+  // the untraced server above, on a single-label config — where
+  // per-request overhead is least amortized. check_bench gates the ratio
+  // with --max-obs-overhead (<= 5%: tracing must stay cheap enough to
+  // leave on).
   {
-    serve::http::ServiceOptions tr_opts;
-    tr_opts.engine.ivf.seed = seed;
+    serve::http::ServiceOptions tr_opts = sopts;
     tr_opts.trace_sample = 0.1;
     util::obs::JsonLogger trace_log;
     uint64_t trace_lines = 0;
     trace_log.set_sink([&trace_lines](const std::string&) { ++trace_lines; });
     tr_opts.logger = &trace_log;
     serve::http::MatchService traced(tr_opts);
+    serve::http::HttpServer traced_server(hopts);
     {
-      const util::Status st = traced.LoadInitial(path);
+      util::Status st = traced.LoadInitial(path);
+      TDM_CHECK(st.ok()) << st.ToString();
+      traced.Register(&traced_server);
+      st = traced_server.Start();
       TDM_CHECK(st.ok()) << st.ToString();
     }
-    serve::http::HttpServerOptions tr_hopts;
-    tr_hopts.threads = 6;
-    serve::http::HttpServer traced_server(tr_hopts);
-    traced.Register(&traced_server);
-    {
-      const util::Status st = traced_server.Start();
-      TDM_CHECK(st.ok()) << st.ToString();
-    }
-
-    // Loopback qps at these short cells is noisy (+-10% round to round),
-    // which would swamp a single-shot ratio. Each round runs off and on
-    // back to back under near-identical machine conditions and yields a
-    // paired ratio; the gate takes the minimum over rounds. Noise that
-    // happens to slow the traced side inflates some rounds but rarely all
-    // of them, while a real tracing regression inflates every round — so
-    // the minimum stays a tight upper-bound estimate of true overhead.
-    constexpr int kRounds = 5;
-    double qps_off = 0.0;
-    double qps_on = 0.0;
-    double overhead = 1e9;
+    Overhead obs;
     for (int round = 0; round < kRounds; ++round) {
-      const LoadResult off =
-          DriveLoad(server.port(), n, 2, 1, seconds, seed + 31 * round);
-      const LoadResult on = DriveLoad(traced_server.port(), n, 2, 1, seconds,
-                                      seed + 31 * round);
-      TDM_CHECK(off.errors == 0 && on.errors == 0);
-      const double off_qps = static_cast<double>(off.queries) / seconds;
-      const double on_qps = static_cast<double>(on.queries) / seconds;
-      qps_off = std::max(qps_off, off_qps);
-      qps_on = std::max(qps_on, on_qps);
-      overhead = std::min(overhead, off_qps / std::max(on_qps, 1e-9));
+      const uint64_t off =
+          DriveLoad(server.port(), n, 2, seconds, seed + 31 * round);
+      const uint64_t on =
+          DriveLoad(traced_server.port(), n, 2, seconds, seed + 31 * round);
+      obs.AddRound(off, on, seconds);
     }
     traced_server.Stop();
     TDM_CHECK(trace_lines > 0) << "traced server emitted no JSONL lines";
-    const double obs_wall = 2 * kRounds * seconds;
-    rep.Add(scenario, "obs=off", "qps", qps_off, obs_wall);
-    rep.Add(scenario, "obs=on", "qps", qps_on, 0.0);
-    rep.Add(scenario, "obs=on", "obs_overhead_ratio", overhead, 0.0);
+    rep.Add(scenario, "obs=off", "qps", obs.qps_off, 2 * kRounds * seconds);
+    rep.Add(scenario, "obs=on", "qps", obs.qps_on, 0.0);
+    rep.Add(scenario, "obs=on", "obs_overhead_ratio", obs.ratio, 0.0);
     rep.Printf("%-20s off %-8.0f on %-8.0f ratio %.3f (%llu trace lines)\n",
-               "obs qps", qps_off, qps_on, overhead,
+               "obs qps", obs.qps_off, obs.qps_on, obs.ratio,
                static_cast<unsigned long long>(trace_lines));
   }
 
   // --- profiler overhead ---------------------------------------------------
-  // Same paired-rounds design as the tracing section: the same server is
-  // driven with the sampling CPU profiler disarmed and then armed at the
-  // production default 99 Hz, and the gate takes the minimum qps ratio
-  // over rounds. check_bench gates profiler_overhead_ratio with
-  // --max-profiler-overhead (<= 5%: a 99 Hz SIGPROF + frame-pointer walk
-  // must be cheap enough to capture on a live server).
+  // Same paired-rounds design: the same server is driven with the sampling
+  // CPU profiler disarmed and then armed at the production default 99 Hz.
+  // check_bench gates the ratio with --max-profiler-overhead (<= 5%: a
+  // 99 Hz SIGPROF + frame-pointer walk must be cheap enough to capture on
+  // a live server).
   {
-    constexpr int kRounds = 5;
-    double qps_off = 0.0;
-    double qps_on = 0.0;
-    double overhead = 1e9;
+    Overhead prof;
     uint64_t profile_samples = 0;
     if (util::obs::CpuProfiler::Supported()) {
       for (int round = 0; round < kRounds; ++round) {
-        const LoadResult off =
-            DriveLoad(server.port(), n, 2, 1, seconds, seed + 47 * round);
+        const uint64_t off =
+            DriveLoad(server.port(), n, 2, seconds, seed + 47 * round);
         {
           const util::Status st = util::obs::CpuProfiler::Global().Start(99);
           TDM_CHECK(st.ok()) << st.ToString();
         }
-        const LoadResult on =
-            DriveLoad(server.port(), n, 2, 1, seconds, seed + 47 * round);
-        const util::obs::CpuProfile profile =
-            util::obs::CpuProfiler::Global().Stop();
-        profile_samples += profile.samples;
-        TDM_CHECK(off.errors == 0 && on.errors == 0);
-        const double off_qps = static_cast<double>(off.queries) / seconds;
-        const double on_qps = static_cast<double>(on.queries) / seconds;
-        qps_off = std::max(qps_off, off_qps);
-        qps_on = std::max(qps_on, on_qps);
-        overhead = std::min(overhead, off_qps / std::max(on_qps, 1e-9));
+        const uint64_t on =
+            DriveLoad(server.port(), n, 2, seconds, seed + 47 * round);
+        profile_samples += util::obs::CpuProfiler::Global().Stop().samples;
+        prof.AddRound(off, on, seconds);
       }
     } else {
       // Keep the row (check_bench requires rows to persist) with a
       // truthful no-op value on platforms without the profiler.
-      overhead = 1.0;
+      prof.ratio = 1.0;
     }
-    const double prof_wall = 2 * kRounds * seconds;
-    rep.Add(scenario, "profile=off", "qps", qps_off, prof_wall);
-    rep.Add(scenario, "profile=on", "qps", qps_on, 0.0);
-    rep.Add(scenario, "profile=on", "profiler_overhead_ratio", overhead, 0.0);
+    rep.Add(scenario, "profile=off", "qps", prof.qps_off,
+            2 * kRounds * seconds);
+    rep.Add(scenario, "profile=on", "qps", prof.qps_on, 0.0);
+    rep.Add(scenario, "profile=on", "profiler_overhead_ratio", prof.ratio,
+            0.0);
     rep.Printf("%-20s off %-8.0f on %-8.0f ratio %.3f (%llu samples)\n",
-               "profiler qps", qps_off, qps_on, overhead,
+               "profiler qps", prof.qps_off, prof.qps_on, prof.ratio,
                static_cast<unsigned long long>(profile_samples));
   }
 
-  // --- metric history + SLO cost ------------------------------------------
-  // What continuous observability costs at steady state: ring memory for
-  // the service's tdmatch_* families across sampling cadences (capacity
-  // sized for a fixed 60 s retention), the cost of one sample, of one
-  // trailing-window query, and of one SLO burn-rate evaluation. All
-  // timings; check_bench only gates that the rows persist.
-  {
-    const double kRetention = 60.0;
-    for (const double interval : {0.1, 1.0}) {
-      util::obs::TimeSeriesOptions topts;
-      topts.interval_seconds = interval;
-      topts.capacity = static_cast<size_t>(kRetention / interval);
-      topts.name_prefix = "tdmatch_";
-      util::obs::TimeSeriesStore store(service.registry(), topts);
-      const size_t samples = topts.capacity;
-      watch.Reset();
-      for (size_t i = 0; i < samples; ++i) {
-        store.SampleOnce(static_cast<double>(i) * interval);
-      }
-      const double sample_ms = watch.ElapsedMillis() /
-                               static_cast<double>(samples);
-      watch.Reset();
-      constexpr int kWindowReps = 100;
-      size_t series_seen = 0;
-      for (int i = 0; i < kWindowReps; ++i) {
-        series_seen = store.Window(kRetention,
-                                   static_cast<double>(samples) * interval)
-                          .size();
-      }
-      const double window_ms = watch.ElapsedMillis() / kWindowReps;
-      TDM_CHECK(series_seen > 0) << "history captured no series";
-      const std::string param =
-          "interval=" + std::to_string(interval).substr(0, 3) + "s";
-      rep.Add(scenario, param, "history_memory_bytes",
-              static_cast<double>(store.MemoryBytes()), 0.0);
-      rep.Add(scenario, param, "history_sample_ms", sample_ms, 0.0);
-      rep.Add(scenario, param, "history_window_ms", window_ms, 0.0);
-      rep.Printf("%-20s %zu series, %.0f KiB, sample %.4f ms, window "
-                 "%.4f ms\n",
-                 param.c_str(), series_seen,
-                 static_cast<double>(store.MemoryBytes()) / 1024.0, sample_ms,
-                 window_ms);
+  // --- metric history memory ----------------------------------------------
+  // Ring memory for the service's tdmatch_* families across sampling
+  // cadences, capacity sized for a fixed 60 s retention.
+  const double kRetention = 60.0;
+  for (const double interval : {0.1, 1.0}) {
+    util::obs::TimeSeriesOptions topts;
+    topts.interval_seconds = interval;
+    topts.capacity = static_cast<size_t>(kRetention / interval);
+    topts.name_prefix = "tdmatch_";
+    util::obs::TimeSeriesStore store(service.registry(), topts);
+    for (size_t i = 0; i < topts.capacity; ++i) {
+      store.SampleOnce(static_cast<double>(i) * interval);
     }
-
-    util::obs::SloOptions slopts;
-    slopts.latency_budget_ms = 5.0;
-    util::obs::SloTracker slo(slopts);
-    constexpr int kRecords = 200000;
-    watch.Reset();
-    for (int i = 0; i < kRecords; ++i) {
-      slo.Record(static_cast<double>(i) * 0.001, i % 97 != 0, i % 11 != 0);
-    }
-    const double record_ns =
-        watch.ElapsedMillis() * 1e6 / static_cast<double>(kRecords);
-    watch.Reset();
-    constexpr int kEvals = 1000;
-    for (int i = 0; i < kEvals; ++i) {
-      (void)slo.Evaluate(static_cast<double>(kRecords) * 0.001);
-    }
-    const double eval_ms = watch.ElapsedMillis() / kEvals;
-    rep.Add(scenario, "slo", "slo_record_ns", record_ns, 0.0);
-    rep.Add(scenario, "slo", "slo_eval_ms", eval_ms, 0.0);
-    rep.Printf("%-20s record %.0f ns, evaluate %.4f ms\n", "slo",
-               record_ns, eval_ms);
-  }
-
-  // --- hot reload under load ----------------------------------------------
-  {
-    std::atomic<bool> stop{false};
-    std::thread background([&] {
-      auto client = serve::http::HttpClient::Connect("127.0.0.1",
-                                                     server.port());
-      if (!client.ok()) return;
-      while (!stop.load(std::memory_order_relaxed)) {
-        client->Post("/v1/query", "{\"label\": \"v1\", \"k\": 5}");
-      }
-    });
-    auto reloader = serve::http::HttpClient::Connect("127.0.0.1",
-                                                     server.port());
-    TDM_CHECK(reloader.ok());
-    watch.Reset();
-    auto r = reloader->Post("/v1/reload", "{}");
-    const double reload_ms = watch.ElapsedMillis();
-    TDM_CHECK(r.ok() && r->status == 200) << "reload failed";
-    stop.store(true);
-    background.join();
-    rep.Add(scenario, "reload", "reload_ms", reload_ms, reload_ms / 1e3);
-    rep.Printf("%-20s %-10.1f (swap under live traffic)\n", "reload_ms",
-               reload_ms);
+    const size_t series =
+        store.Window(kRetention,
+                     static_cast<double>(topts.capacity) * interval)
+            .size();
+    TDM_CHECK(series > 0) << "history captured no series";
+    const std::string param =
+        "interval=" + std::to_string(interval).substr(0, 3) + "s";
+    rep.Add(scenario, param, "history_memory_bytes",
+            static_cast<double>(store.MemoryBytes()), 0.0);
+    rep.Printf("%-20s %zu series, %.0f KiB\n", param.c_str(), series,
+               static_cast<double>(store.MemoryBytes()) / 1024.0);
   }
 
   server.Stop();
@@ -421,8 +277,8 @@ void RunHttpSynthetic(bench::BenchReporter& rep,
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::ParseArgsOrExit(argc, argv);
   bench::BenchReporter rep("serve_http", opts);
-  rep.Note("HTTP front end: end-to-end qps + latency over loopback, "
-           "mmap-loaded snapshot, live hot-reload");
+  rep.Note("HTTP front end: tracing and profiler qps overhead over "
+           "loopback, metric-history memory");
   RunHttpSynthetic(rep, opts);
   return rep.Finish() ? 0 : 1;
 }

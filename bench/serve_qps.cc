@@ -1,27 +1,21 @@
-// Serving benchmark: the online subsystem (serve/) against the brute-force
-// scan it replaces.
+// Serving-index quality benchmark: IVF and IVF-PQ recall@5 against the
+// exact scan, and the PQ index footprint.
 //
 // Two scenarios:
-//  * "IMDb"      — the end-to-end demo: train the smoke pipeline, write a
-//                  binary snapshot, reload it, build a QueryEngine, and
-//                  measure IVF recall@5 vs the exact index over the real
-//                  query docs (plus snapshot size / load time).
+//  * "IMDb"      — the trained smoke pipeline's embeddings served through a
+//                  QueryEngine: IVF recall@5 vs the exact index over the
+//                  real query docs, per nprobe.
 //  * "Synthetic" — a clustered vector corpus big enough for the ANN
-//                  trade-off to show (smoke: 4k vectors): single-query
-//                  latency p50/p99 for exact vs IVF, QPS vs batch size
-//                  through QueryEngine::QueryBatch, recall@5 vs nprobe,
-//                  the headline speedup (exact wall / IVF wall at the
-//                  serving nprobe), and the PQ sweep — recall@5 /
-//                  memory_bytes / list-bytes compression for
-//                  pq_m ∈ {4, 8, 16}.
+//                  trade-off to show (smoke: 4k vectors): recall@5 vs
+//                  nprobe, and the PQ sweep — recall@5 / memory_bytes /
+//                  list-bytes compression for pq_m ∈ {4, 8, 16}.
 //
-// Quality rows (recall@5) are seed-deterministic and regression-gated by
-// tools/check_bench.py; latency/qps/speedup rows are informational (their
-// cost is gated through the per-scenario wall-time aggregate).
+// Every row is seed-deterministic and gated by tools/check_bench.py:
+// recall@5 on quality drops (PQ rows also on the --min-recall floor),
+// memory_bytes on growth. Serving latency and throughput are timed
+// open-loop over HTTP by tdbench's serve_lookup / serve_scan workloads.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -36,42 +30,9 @@ using namespace tdmatch;  // NOLINT
 
 namespace {
 
-/// The nprobe the latency/speedup rows use — the smallest value whose
-/// measured recall@5 clears 0.95 on the synthetic corpus (see the sweep
-/// rows this bench emits).
+/// The nprobe the PQ sweep serves at — the smallest value whose measured
+/// recall@5 clears 0.95 on the synthetic corpus (see the nprobe rows).
 constexpr size_t kServingNprobe = 8;
-
-double Percentile(std::vector<double> ms, double p) {
-  if (ms.empty()) return 0.0;
-  std::sort(ms.begin(), ms.end());
-  const size_t idx = std::min(
-      ms.size() - 1, static_cast<size_t>(p * static_cast<double>(ms.size())));
-  return ms[idx];
-}
-
-/// Clustered unit vectors: `n` points around `centers` Gaussian anchors —
-/// the structure an inverted-file index exploits (uniform random vectors
-/// have no cluster signal and every ANN index degrades to a scan).
-std::vector<std::vector<float>> MakeClusteredVectors(size_t n, int dim,
-                                                     size_t centers,
-                                                     util::Rng* rng) {
-  std::vector<std::vector<float>> anchor(centers);
-  for (auto& c : anchor) {
-    c.resize(static_cast<size_t>(dim));
-    for (auto& x : c) x = static_cast<float>(rng->Gaussian());
-  }
-  std::vector<std::vector<float>> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& c = anchor[i % centers];
-    out[i].resize(static_cast<size_t>(dim));
-    for (int d = 0; d < dim; ++d) {
-      out[i][static_cast<size_t>(d)] =
-          c[static_cast<size_t>(d)] + 0.35f * static_cast<float>(
-                                                  rng->Gaussian());
-    }
-  }
-  return out;
-}
 
 void RunSynthetic(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   if (!opts.Matches("Synthetic")) return;
@@ -84,8 +45,7 @@ void RunSynthetic(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   const uint64_t seed = opts.seed == 0 ? 7 : opts.seed;
 
   util::Rng rng(seed);
-  util::StopWatch watch;
-  const auto vectors = MakeClusteredVectors(n, dim, 64, &rng);
+  const auto vectors = bench::MakeClusteredVectors(n, dim, 64, &rng);
   std::vector<const std::vector<float>*> rows;
   rows.reserve(n);
   for (const auto& v : vectors) rows.push_back(&v);
@@ -100,23 +60,18 @@ void RunSynthetic(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
       x += 0.1f * static_cast<float>(rng.Gaussian());
     }
   }
-  const double gen_seconds = watch.ElapsedSeconds();
 
-  watch.Reset();
   serve::ExactIndex exact(matrix);
   serve::IvfOptions ivf_opts;
   ivf_opts.seed = seed;
   ivf_opts.nprobe = kServingNprobe;
   serve::IvfIndex ivf(matrix, ivf_opts);
-  const double build_seconds = watch.ElapsedSeconds();
-  rep.Printf("\nSynthetic corpus: n=%zu dim=%d nlist=%zu (gen %.2fs, "
-             "index build %.2fs)\n",
-             n, dim, ivf.nlist(), gen_seconds, build_seconds);
-  rep.Add(scenario, "index=ivf", "build_seconds", build_seconds,
-          build_seconds);
+  rep.Printf("\nSynthetic corpus: n=%zu dim=%d nlist=%zu\n", n, dim,
+             ivf.nlist());
 
   // --- recall@5 vs nprobe (the knob) -------------------------------------
   rep.Printf("%-12s %-10s\n", "nprobe", "recall@5");
+  util::StopWatch watch;
   for (size_t nprobe : {1, 2, 4, 8, 16}) {
     ivf.set_nprobe(nprobe);
     watch.Reset();
@@ -125,39 +80,6 @@ void RunSynthetic(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
             recall, watch.ElapsedSeconds());
     rep.Printf("%-12zu %-10.4f\n", nprobe, recall);
   }
-  ivf.set_nprobe(kServingNprobe);
-
-  // --- single-query latency + the headline speedup -----------------------
-  const size_t reps = opts.scale == bench::Scale::kFull ? 1 : 5;
-  auto measure = [&](const serve::Index& index, std::vector<double>* lat) {
-    util::StopWatch total;
-    for (size_t r = 0; r < reps; ++r) {
-      for (const auto& q : queries) {
-        util::StopWatch one;
-        index.SearchVec(q, 5);
-        lat->push_back(one.ElapsedMillis());
-      }
-    }
-    return total.ElapsedSeconds();
-  };
-  std::vector<double> exact_ms, ivf_ms;
-  const double exact_wall = measure(exact, &exact_ms);
-  const double ivf_wall = measure(ivf, &ivf_ms);
-  const double speedup = exact_wall / std::max(ivf_wall, 1e-9);
-  rep.Printf("%-12s p50=%.3fms p99=%.3fms\n", "exact",
-             Percentile(exact_ms, 0.5), Percentile(exact_ms, 0.99));
-  rep.Printf("%-12s p50=%.3fms p99=%.3fms  speedup=%.1fx (nprobe=%zu)\n",
-             "ivf", Percentile(ivf_ms, 0.5), Percentile(ivf_ms, 0.99),
-             speedup, ivf.nprobe());
-  rep.Add(scenario, "index=exact", "p50_ms", Percentile(exact_ms, 0.5),
-          exact_wall);
-  rep.Add(scenario, "index=exact", "p99_ms", Percentile(exact_ms, 0.99),
-          exact_wall);
-  rep.Add(scenario, "index=ivf", "p50_ms", Percentile(ivf_ms, 0.5),
-          ivf_wall);
-  rep.Add(scenario, "index=ivf", "p99_ms", Percentile(ivf_ms, 0.99),
-          ivf_wall);
-  rep.Add(scenario, "index=ivf", "speedup", speedup, ivf_wall);
   rep.Add(scenario, "index=ivf", "memory_bytes",
           static_cast<double>(ivf.MemoryBytes()), 0.0);
 
@@ -166,81 +88,32 @@ void RunSynthetic(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   // exact re-rank (pq_rerank) recovers most of the recall. Compression is
   // the ratio of *list* bytes (flat f32 lists vs u8 codes + codebook) —
   // the part PQ actually shrinks; centroids/offsets/ids are identical
-  // between the two layouts. recall@5 rows are seed-deterministic and
-  // regression-gated; ci-bench additionally enforces an absolute floor
-  // via check_bench --min-recall.
-  rep.Printf("%-12s %-10s %-14s %-13s %-10s\n", "pq_m", "recall@5",
-             "memory_bytes", "compression", "p50_ms");
+  // between the two layouts.
+  rep.Printf("%-12s %-10s %-14s %-13s\n", "pq_m", "recall@5",
+             "memory_bytes", "compression");
   for (size_t m : {4, 8, 16}) {
     serve::IvfOptions pq_opts = ivf_opts;
     pq_opts.pq_m = m;
     watch.Reset();
     serve::IvfIndex pq(matrix, pq_opts);
-    const double pq_build = watch.ElapsedSeconds();
-    watch.Reset();
     const double recall = serve::MeasureRecallAtK(pq, exact, queries, 5);
-    const double recall_wall = watch.ElapsedSeconds();
     const double compression = static_cast<double>(ivf.ListBytes()) /
                                static_cast<double>(pq.ListBytes());
-    std::vector<double> pq_ms;
-    const double pq_wall = measure(pq, &pq_ms);
     const std::string param = "pq_m=" + std::to_string(m);
-    rep.Add(scenario, param, "recall@5", recall, pq_build + recall_wall);
+    rep.Add(scenario, param, "recall@5", recall, watch.ElapsedSeconds());
     rep.Add(scenario, param, "memory_bytes",
             static_cast<double>(pq.MemoryBytes()), 0.0);
     rep.Add(scenario, param, "compression", compression, 0.0);
-    rep.Add(scenario, param, "p50_ms", Percentile(pq_ms, 0.5), pq_wall);
-    rep.Printf("%-12zu %-10.4f %-14zu %-13.2f %-10.3f\n", m, recall,
-               pq.MemoryBytes(), compression, Percentile(pq_ms, 0.5));
-  }
-
-  // --- QPS vs batch size through the QueryEngine -------------------------
-  // The engine path includes label lookup + result materialization, i.e.
-  // what a frontend actually pays. Labels are synthetic v<i> names.
-  serve::Snapshot snap;
-  snap.meta.scenario = scenario;
-  snap.table = embed::EmbeddingTable(dim);
-  for (size_t i = 0; i < n; ++i) {
-    snap.table.Put("v" + std::to_string(i), vectors[i]);
-  }
-  serve::QueryEngineOptions eopts;
-  eopts.threads = 4;
-  eopts.ivf.seed = seed;
-  eopts.ivf.nprobe = kServingNprobe;
-  auto engine = serve::QueryEngine::BuildForPrefix(std::move(snap), "v",
-                                                   eopts);
-  TDM_CHECK(engine.ok()) << engine.status().ToString();
-  rep.Printf("%-12s %-10s  (threads=%zu; on a single-core box batching "
-             "only pays dispatch overhead)\n",
-             "batch", "qps", eopts.threads);
-  for (size_t batch : {1, 16, 64}) {
-    std::vector<std::string> labels(batch);
-    for (size_t i = 0; i < batch; ++i) {
-      labels[i] = "v" + std::to_string(rng.UniformInt(n));
-    }
-    // Repeat until ~0.2s of work so tiny batches aren't pure timer noise.
-    size_t total_queries = 0;
-    watch.Reset();
-    do {
-      auto results = engine->QueryBatch(labels, 5);
-      TDM_CHECK(results.size() == batch);
-      total_queries += batch;
-    } while (watch.ElapsedSeconds() < 0.2);
-    const double qps =
-        static_cast<double>(total_queries) /
-        std::max(watch.ElapsedSeconds(), 1e-9);
-    rep.Add(scenario, "batch=" + std::to_string(batch), "qps", qps,
-            watch.ElapsedSeconds());
-    rep.Printf("%-12zu %-10.0f\n", batch, qps);
+    rep.Printf("%-12zu %-10.4f %-14zu %-13.2f\n", m, recall,
+               pq.MemoryBytes(), compression);
   }
 }
 
 void RunTrainedScenario(bench::BenchReporter& rep,
                         const bench::BenchOptions& opts) {
-  // The end-to-end demo on the real pipeline: train → snapshot → reload →
-  // query. IMDb at smoke scale has only a few dozen candidates, so this
-  // scenario gates correctness (recall, snapshot round-trip) while the
-  // synthetic corpus above carries the latency story.
+  // The real pipeline's embeddings: IMDb at smoke scale has only a few
+  // dozen candidates, so this scenario gates recall on trained vectors
+  // while the synthetic corpus above carries the PQ trade-off.
   bench::BenchOptions gen_opts = opts;
   gen_opts.filter = "^IMDb$";
   if (!opts.Matches("IMDb")) return;
@@ -248,7 +121,6 @@ void RunTrainedScenario(bench::BenchReporter& rep,
   if (scenarios.empty()) return;
   auto& sc = scenarios.front();
 
-  util::StopWatch watch;
   core::TDmatchOptions options = sc.base_options;
   options.export_embeddings = true;
   core::TDmatch engine(options);
@@ -258,29 +130,15 @@ void RunTrainedScenario(bench::BenchReporter& rep,
                  run.status().ToString().c_str());
     return;
   }
-  const double train_seconds = watch.ElapsedSeconds();
 
-  // Snapshot round-trip through a temp file, like a serving deployment.
-  std::string path = "serve_qps_imdb.tds";
-  if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr) {
-    path = std::string(tmp) + "/" + path;
-  } else {
-    path = "/tmp/" + path;
-  }
-  serve::SnapshotMeta meta;
-  meta.scenario = sc.name;
-  meta.Set("candidate_prefix", "__D1:");
-  watch.Reset();
-  TDM_CHECK(serve::SnapshotIo::Write(run->embeddings, meta, path).ok());
-  auto snap = serve::SnapshotIo::Read(path);
-  TDM_CHECK(snap.ok()) << snap.status().ToString();
-  const double roundtrip_seconds = watch.ElapsedSeconds();
-  std::remove(path.c_str());
-
+  serve::Snapshot snap;
+  snap.meta.scenario = sc.name;
+  snap.meta.Set("candidate_prefix", "__D1:");
+  snap.table = std::move(run->embeddings);
   serve::QueryEngineOptions eopts;
   eopts.threads = 4;
   eopts.ivf.seed = opts.seed == 0 ? 7 : opts.seed;
-  auto qe = serve::QueryEngine::BuildForPrefix(std::move(*snap), "__D1:",
+  auto qe = serve::QueryEngine::BuildForPrefix(std::move(snap), "__D1:",
                                                eopts);
   TDM_CHECK(qe.ok()) << qe.status().ToString();
 
@@ -289,14 +147,11 @@ void RunTrainedScenario(bench::BenchReporter& rep,
   for (const auto& label : qe->table().Labels()) {
     if (label.rfind("__D0:", 0) == 0) queries.push_back(*qe->table().Get(label));
   }
-  rep.Printf("\nIMDb (trained, %zu candidates, %zu queries): train %.2fs, "
-             "snapshot round-trip %.3fs\n",
-             qe->num_candidates(), queries.size(), train_seconds,
-             roundtrip_seconds);
-  rep.Add("IMDb", "snapshot", "roundtrip_seconds", roundtrip_seconds,
-          train_seconds + roundtrip_seconds);
+  rep.Printf("\nIMDb (trained, %zu candidates, %zu queries)\n",
+             qe->num_candidates(), queries.size());
 
   rep.Printf("%-12s %-10s\n", "nprobe", "recall@5");
+  util::StopWatch watch;
   for (size_t nprobe : {1, 2, 4}) {
     qe->ivf_index()->set_nprobe(nprobe);
     watch.Reset();
@@ -313,8 +168,8 @@ void RunTrainedScenario(bench::BenchReporter& rep,
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::ParseArgsOrExit(argc, argv);
   bench::BenchReporter rep("serve_qps", opts);
-  rep.Note("Online serving: IVF ANN index + QueryEngine vs brute-force "
-           "scan");
+  rep.Note("Serving-index quality: IVF / IVF-PQ recall@5 vs the exact "
+           "scan, and the PQ footprint");
   RunTrainedScenario(rep, opts);
   RunSynthetic(rep, opts);
   return rep.Finish() ? 0 : 1;

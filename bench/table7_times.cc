@@ -125,26 +125,12 @@ int main(int argc, char** argv) {
       auto m = row.make(fam.data, fam.text_task);
       Timing t = TimeMethod(m.get(), fam.data.scenario);
       const std::string param = "method=" + row.name;
-      // The pipeline method carries its own phase timers: its wall comes
-      // from instrumentation (not the harness stopwatch), and the Table
-      // VII breakdown is emitted per phase — plus one row per training
-      // epoch — straight from the profile.
+      // The pipeline method's wall comes from its own phase timers, not
+      // the harness stopwatch. Per-phase and per-epoch timings are
+      // tdbench's per-layer metrics (graph.build_s, embed.walks_s,
+      // embed.train_epoch_s, match.score_s).
       if (const auto* td = dynamic_cast<const core::TDmatchMethod*>(m.get())) {
-        const util::obs::PhaseProfile& profile = td->last_result().profile;
         t.wall = bench::InstrumentedWallSeconds(td->last_result(), t.wall);
-        for (const char* phase : {"graph_build", "expand", "compress",
-                                  "walks", "train", "match", "export"}) {
-          const double s = profile.Seconds(phase);
-          if (s <= 0.0) continue;
-          rep.Add(fam.name, param,
-                  std::string("phase_") + phase + "_seconds", s, s);
-        }
-        size_t epoch = 0;
-        for (const auto& p : profile.phases()) {
-          if (p.name != "train_epoch") continue;
-          rep.Add(fam.name, param + ",epoch=" + std::to_string(epoch++),
-                  "train_epoch_seconds", p.seconds, p.seconds);
-        }
       }
       rep.Add(fam.name, param, "train_seconds", t.train, t.wall);
       rep.Add(fam.name, param, "test_seconds_per_query", t.test, t.wall);

@@ -523,6 +523,106 @@ TEST(HttpParserTest, ParsesResponses) {
   EXPECT_EQ(p.request().body, "{}");
 }
 
+/// What a request parser made of a byte stream: each message it
+/// completed (Reset between them, as the server's keep-alive loop does),
+/// then the http_status() of the error that stopped it, or 0 when it was
+/// still waiting for more bytes.
+struct ParseOutcome {
+  std::vector<std::string> messages;
+  int error_status = 0;
+};
+
+ParseOutcome ParseRequestStream(const std::vector<std::string>& chunks) {
+  HttpParser p(HttpParser::Mode::kRequest);
+  ParseOutcome out;
+  for (const std::string& chunk : chunks) {
+    util::Status st = p.Feed(chunk);
+    while (st.ok() && p.Done()) {
+      const HttpRequest& r = p.request();
+      // A completed message is well-formed by the parser's own rules.
+      EXPECT_FALSE(r.method.empty());
+      EXPECT_EQ(r.target.compare(0, 1, "/"), 0) << r.target;
+      EXPECT_TRUE(r.version == "HTTP/1.1" || r.version == "HTTP/1.0")
+          << r.version;
+      const std::string& cl = r.Header("content-length");
+      EXPECT_EQ(r.body.size(), cl.empty() ? 0 : std::stoull(cl));
+      std::string message = r.method + " " + r.target + " " + r.version;
+      for (const auto& kv : r.headers) {
+        message += "\n" + kv.first + ": " + kv.second;
+      }
+      out.messages.push_back(message + "\n\n" + r.body);
+      p.Reset();
+      st = p.Feed("");
+    }
+    if (!st.ok()) {
+      out.error_status = p.http_status();
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(HttpParserTest, MutatedRequestBytesParseOrFailCleanly) {
+  const std::string body = "{\"label\": \"q1\", \"k\": 3}";
+  const std::string post =
+      "POST /v1/query HTTP/1.1\r\nHost: localhost:8080\r\n"
+      "Content-Type: application/json\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body;
+  const std::string get =
+      "GET /v1/metrics?format=json HTTP/1.1\r\nHost: h\r\n"
+      "Accept: */*\r\n\r\n";
+  const std::vector<std::string> seeds = {
+      get,
+      "GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+      post,
+      "POST /v1/reload HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\n\r\n",
+      "POST /v1/reload HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+      post + get,  // pipelined on one connection
+  };
+
+  util::Rng rng(20261018);
+  const size_t kMutants = 5000;
+  size_t completed = 0, failed = 0, waiting = 0;
+  for (size_t m = 0; m < kMutants; ++m) {
+    const std::string mutant =
+        testutil::Mutate(seeds[rng.UniformInt(seeds.size())],
+                         testutil::MutationLayout{}, &rng);
+    const ParseOutcome whole = ParseRequestStream({mutant});
+    const int status = whole.error_status;
+    ASSERT_TRUE(status == 0 || status == 400 || status == 413 ||
+                status == 431 || status == 505)
+        << status << " for " << mutant;
+
+    // The same bytes split at random boundaries parse identically:
+    // framing never depends on how the socket delivered them.
+    std::vector<size_t> cuts(1 + rng.UniformInt(4));
+    for (size_t& cut : cuts) cut = rng.UniformInt(mutant.size() + 1);
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<std::string> chunks;
+    size_t from = 0;
+    for (size_t cut : cuts) {
+      chunks.push_back(mutant.substr(from, cut - from));
+      from = cut;
+    }
+    chunks.push_back(mutant.substr(from));
+    const ParseOutcome split = ParseRequestStream(chunks);
+    ASSERT_EQ(split.messages, whole.messages) << mutant;
+    ASSERT_EQ(split.error_status, status) << mutant;
+
+    if (status != 0) {
+      ++failed;
+    } else if (whole.messages.empty()) {
+      ++waiting;
+    } else {
+      ++completed;
+    }
+  }
+  // The budget reaches every outcome.
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(waiting, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // HttpServer + HttpClient
 // ---------------------------------------------------------------------------

@@ -215,17 +215,54 @@ void ExpectSameMatches(const std::vector<ScoredMatch>& want,
   }
 }
 
-TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
-  const size_t n = 64;
-  auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
-                                               TestEngineOptions());
+/// Clustered candidates c<i> in `dim` dimensions; query q<i> is a
+/// perturbed copy of candidate c<(7 * i) mod n>.
+serve::Snapshot ClusteredSnapshot(size_t n, int dim, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> anchors(12);
+  for (auto& a : anchors) {
+    for (int d = 0; d < dim; ++d) {
+      a.push_back(static_cast<float>(rng.Gaussian()));
+    }
+  }
+  serve::Snapshot snap;
+  snap.meta.scenario = "shard-clusters";
+  snap.table = embed::EmbeddingTable(dim);
+  std::vector<std::vector<float>> cand(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto& a = anchors[rng.UniformInt(anchors.size())];
+    for (int d = 0; d < dim; ++d) {
+      cand[i].push_back(a[static_cast<size_t>(d)] +
+                        0.4f * static_cast<float>(rng.Gaussian()));
+    }
+    snap.table.Put("c" + std::to_string(i), cand[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<float> q = cand[(7 * i) % n];
+    for (float& x : q) x += 0.2f * static_cast<float>(rng.Gaussian());
+    snap.table.Put("q" + std::to_string(i), std::move(q));
+  }
+  return snap;
+}
+
+/// Exact-mode answers of the sharded engine over `snap`'s "c" candidates
+/// equal the unsharded engine's bit for bit at N ∈ {1, 2, 4, 8} shards,
+/// for `num_queries` queries q<i> spread evenly over `n` and every k in
+/// `ks`.
+void ExpectExactBitIdenticalAcrossShardCounts(serve::Snapshot snap, size_t n,
+                                              size_t num_queries,
+                                              const std::vector<size_t>& ks) {
+  const std::string path = TempPath("shard_identity.tds");
+  ASSERT_TRUE(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
+  auto reference =
+      QueryEngine::BuildForPrefix(std::move(snap), "c", TestEngineOptions());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ShardedEngineOptions opts;
     opts.shards = shards;
     opts.engine = TestEngineOptions();
-    auto sharded = BuildGeometricSharded(n, opts);
+    auto sharded = BuildSharded(path, opts);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     EXPECT_EQ(sharded->num_shards(), shards);
     EXPECT_EQ(sharded->num_candidates(), n);
@@ -235,9 +272,9 @@ TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
     }
     EXPECT_EQ(partitioned, n);  // every candidate in exactly one shard
 
-    for (size_t i = 0; i < n; ++i) {
-      const std::string q = "q" + std::to_string(i);
-      for (size_t k : {size_t{1}, size_t{5}, n}) {
+    for (size_t i = 0; i < num_queries; ++i) {
+      const std::string q = "q" + std::to_string(i * (n / num_queries));
+      for (size_t k : ks) {
         auto want = reference->Query(q, k, SearchMode::kExact);
         auto got = sharded->Query(q, k, SearchMode::kExact);
         ASSERT_TRUE(want.ok() && got.ok());
@@ -247,6 +284,17 @@ TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
+  const size_t n = 64;
+  ExpectExactBitIdenticalAcrossShardCounts(GeometricSnapshot(n), n, n,
+                                           {1, 5, n});
+  // A larger clustered corpus, where scores tie less and every shard
+  // holds hundreds of rows: 150 queries at k = 10.
+  ExpectExactBitIdenticalAcrossShardCounts(ClusteredSnapshot(4000, 32, 7),
+                                           4000, 150, {10});
 }
 
 TEST(ShardedEngineTest, FilteredBatchAndVectorMatchUnsharded) {
@@ -399,36 +447,6 @@ TEST(ShardedEngineTest, ApproxIsDeterministicAndFullProbeRecoversExact) {
 // ---------------------------------------------------------------------------
 // ShardedQueryEngine: adopting the snapshot's global "ivfpq" section
 // ---------------------------------------------------------------------------
-
-/// Clustered candidates c<i> in `dim` dimensions; query q<i> is a
-/// perturbed copy of candidate c<(7 * i) mod n>.
-serve::Snapshot ClusteredSnapshot(size_t n, int dim, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::vector<float>> anchors(12);
-  for (auto& a : anchors) {
-    for (int d = 0; d < dim; ++d) {
-      a.push_back(static_cast<float>(rng.Gaussian()));
-    }
-  }
-  serve::Snapshot snap;
-  snap.meta.scenario = "shard-clusters";
-  snap.table = embed::EmbeddingTable(dim);
-  std::vector<std::vector<float>> cand(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& a = anchors[rng.UniformInt(anchors.size())];
-    for (int d = 0; d < dim; ++d) {
-      cand[i].push_back(a[static_cast<size_t>(d)] +
-                        0.4f * static_cast<float>(rng.Gaussian()));
-    }
-    snap.table.Put("c" + std::to_string(i), cand[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<float> q = cand[(7 * i) % n];
-    for (float& x : q) x += 0.2f * static_cast<float>(rng.Gaussian());
-    snap.table.Put("q" + std::to_string(i), std::move(q));
-  }
-  return snap;
-}
 
 /// Trains the unsharded IVF index over the "c" candidates of `snap` and
 /// returns its serialized "ivfpq" section.
@@ -841,6 +859,33 @@ TEST(AdmissionTest, RetryAfterIsClampedWholeSeconds) {
   }
 }
 
+TEST(AdmissionTest, BurstReplayShedsExactlyTheExcess) {
+  // Each round holds a burst of overlapping tickets until the whole burst
+  // has arrived — the worst case the in-flight budget exists for — so
+  // every arrival past the capacity is shed, round after round.
+  struct Case {
+    size_t capacity, burst;
+    double shed_rate;
+  };
+  for (const Case c : {Case{2, 4, 0.5}, Case{4, 4, 0.0}, Case{4, 8, 0.5},
+                       Case{8, 32, 0.75}}) {
+    AdmissionController gate(AdmissionOptions{c.capacity, 1, 30});
+    const size_t rounds = 1000;
+    for (size_t round = 0; round < rounds; ++round) {
+      std::vector<AdmissionController::Ticket> tickets;
+      tickets.reserve(c.burst);
+      for (size_t i = 0; i < c.burst; ++i) tickets.emplace_back(&gate);
+    }
+    const uint64_t total = gate.admitted() + gate.shed();
+    EXPECT_EQ(total, rounds * c.burst);
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(gate.shed()) / static_cast<double>(total),
+        c.shed_rate)
+        << "cap=" << c.capacity << " burst=" << c.burst;
+    EXPECT_EQ(gate.inflight(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // NprobeTuner
 // ---------------------------------------------------------------------------
@@ -1006,6 +1051,47 @@ TEST(ResultCacheTest, StripesNeverExceedCapacity) {
     cache.Put("key" + std::to_string(i), 1, "v");
   }
   EXPECT_LE(cache.size(), 4u);
+}
+
+TEST(ResultCacheTest, SeededHotSetStreamHitsAndEvictsExactly) {
+  // 20,000 lookups from one seeded stream, half of them drawn from a hot
+  // set 1/8 the size of the key space: the shape a result cache exists
+  // for. Every miss is followed by a Put, as the query handler does. The
+  // rates are pure functions of (seed, grid).
+  //
+  // {64 entries, 64 keys} still evicts although the cache could hold
+  // every key: per-stripe capacity is capacity / stripes (8 entries in
+  // each of 8 stripes), and the key hash does not spread 64 keys evenly,
+  // so a stripe that draws more than 8 of them evicts.
+  struct Case {
+    size_t entries, keys;
+    double hit_rate;
+    uint64_t evictions;
+  };
+  for (const Case c : {Case{64, 64, 0.91725, 1601},
+                       Case{64, 256, 0.4956, 10024},
+                       Case{256, 1024, 0.52155, 9313}}) {
+    ResultCache cache(ResultCacheOptions{c.entries, 8});
+    util::Rng rng(4243);
+    const size_t lookups = 20000;
+    for (size_t i = 0; i < lookups; ++i) {
+      const size_t universe =
+          rng.UniformInt(2) == 0 ? std::max<size_t>(1, c.keys / 8) : c.keys;
+      const std::string key =
+          "q" + std::to_string(rng.UniformInt(universe)) + "|k=5|m=a|np=4";
+      std::string body;
+      if (!cache.Get(key, 1, &body)) cache.Put(key, 1, "{\"matches\":[]}");
+    }
+    const std::string config = "entries=" + std::to_string(c.entries) +
+                               " keys=" + std::to_string(c.keys);
+    ASSERT_EQ(cache.hits() + cache.misses(), lookups) << config;
+    EXPECT_DOUBLE_EQ(static_cast<double>(cache.hits()) /
+                         static_cast<double>(lookups),
+                     c.hit_rate)
+        << config;
+    EXPECT_EQ(cache.evictions(), c.evictions) << config;
+    EXPECT_LE(cache.size(), c.entries) << config;
+  }
 }
 
 // ---------------------------------------------------------------------------

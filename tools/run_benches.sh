@@ -25,7 +25,6 @@ benches=(
   fig10_combination
   serve_http
   serve_qps
-  serve_shard
   table1_imdb
   table2_corona
   table3_audit

@@ -218,10 +218,12 @@ util::Status HttpParser::ParseHead() {
     }
     content_length = &kv.second;
   }
-  const std::string& cl =
-      content_length == nullptr ? kEmpty : *content_length;
   body_expected_ = 0;
-  if (!cl.empty()) {
+  if (content_length != nullptr) {
+    // Present means 1*DIGIT (RFC 7230 §3.3.2): an empty value is not "no
+    // body", or the body bytes would be read as the next request.
+    const std::string& cl = *content_length;
+    if (cl.empty()) return Fail(400, "empty Content-Length");
     uint64_t n = 0;
     for (char c : cl) {
       if (std::isdigit(static_cast<unsigned char>(c)) == 0) {

@@ -93,8 +93,8 @@ class HttpParser {
   /// Bytes received after the current message ended.
   const std::string& leftover() const { return leftover_; }
 
-  /// HTTP status code describing the last Feed error (400/413/431/505),
-  /// 0 while healthy. Meaningful for kRequest mode.
+  /// HTTP status code describing the last Feed error (400/413/431/501/
+  /// 505), 0 while healthy. Meaningful for kRequest mode.
   int http_status() const { return http_status_; }
 
   /// The parsed message; valid once Done(). Request fields are filled in

@@ -39,9 +39,11 @@ namespace serve {
 /// in-flight query drops its reference).
 class SnapshotView {
  public:
-  /// Maps and validates `path`. `verify_crc` can be turned off to skip
-  /// the whole-file CRC scan when the caller has already verified the
-  /// artifact (load becomes O(labels) instead of O(bytes)).
+  /// Maps and validates `path`. `verify_crc` runs the whole-file CRC-32
+  /// (util::Crc32, slicing-by-8: about 37 ms of the ~57 ms open of the
+  /// 53.8 MB tdbench serve_scan snapshot). It can be turned off when the
+  /// caller has already verified the artifact (load becomes O(labels)
+  /// instead of O(bytes)).
   static util::Result<std::shared_ptr<const SnapshotView>> Open(
       const std::string& path, bool verify_crc = true);
 

@@ -122,7 +122,10 @@ inline float Dot(const float* a, const float* b, size_t n) {
   for (size_t j = 0; j < 8; ++j) l[j] = acc0[j] + acc1[j];
   float acc =
       ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-  for (; i < n; ++i) acc += a[i] * b[i];
+  // The tail counts down its own n - i steps: a loop on `i < n` after the
+  // block loops trips GCC's aggressive-loop-optimizations range analysis
+  // (a bogus -Werror in Release once n is a known constant).
+  for (size_t rest = n - i; rest > 0; --rest, ++i) acc += a[i] * b[i];
   return acc;
 }
 

@@ -8,7 +8,9 @@
 #include "graph/builder.h"
 #include "graph/stats.h"
 #include "match/blocking.h"
+#include "testing/mutate.h"
 #include "util/csv.h"
+#include "util/rng.h"
 
 namespace tdmatch {
 namespace {
@@ -217,6 +219,90 @@ TEST(LoaderTest, TextsFromJsonlCustomFieldMapping) {
   // Records without the mapped text field are an error, not a skip.
   EXPECT_FALSE(corpus::Loader::TextsFromJsonl(path, "claims").ok());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// corpus::Loader — seeded mutation
+// ---------------------------------------------------------------------------
+
+/// A mutant of one of `seeds`: 1-3 stacked testutil::Mutate steps.
+std::string MutantOf(const std::vector<std::string>& seeds, util::Rng* rng) {
+  std::string bytes = seeds[rng->UniformInt(seeds.size())];
+  const size_t steps = 1 + rng->UniformInt(3);
+  for (size_t i = 0; i < steps; ++i) {
+    bytes = testutil::Mutate(bytes, testutil::MutationLayout{}, rng);
+  }
+  return bytes;
+}
+
+/// Every accepted table is rectangular under its header.
+void ExpectWellFormed(const corpus::Table& t) {
+  EXPECT_GT(t.NumColumns(), 0u);
+  for (size_t r = 0; r < t.NumRows(); ++r) {
+    EXPECT_EQ(t.row(r).size(), t.NumColumns());
+  }
+}
+
+/// Fixed seed, fixed budget: each mutated file either loads into a
+/// well-formed value or fails with a Status — never a crash or a hang
+/// (CI's sanitizer job runs this under ASan+UBSan).
+TEST(LoaderTest, MutatedInputsLoadOrFailCleanly) {
+  const std::vector<std::string> csv_seeds = {
+      "title,year,genre\nPulp Fiction,1994,crime\n"
+      "\"The Sixth \"\"Sense\"\"\",1999,\"drama, thriller\"\n",
+      "a,b\n\"multi\nline\",2\n,\n",
+  };
+  const std::vector<std::string> table_seeds = {
+      "{\"title\": \"Pulp Fiction\", \"year\": 1994, \"seen\": true}\n"
+      "\n{\"year\": 1999, \"title\": \"The \\\"Sixth\\\" Sense\", "
+      "\"seen\": null}\n",
+      "{\"a\": -1.5e3, \"b\": false}\n{\"b\": \"x\\u0041\\n\"}\n",
+  };
+  const std::vector<std::string> text_seeds = {
+      "{\"id\": \"r1\", \"text\": \"a comedy with Bruce Willis\"}\n"
+      "{\"text\": \"escaped \\u0041 and\\nnewline\"}\n",
+      "{\"text\": \"grin \\ud83d\\ude00 end\", \"id\": 7}\n\n",
+  };
+  std::string path;
+  util::Rng rng(20261019);
+  const size_t kMutants = 3000;
+  size_t loaded = 0, rejected = 0;
+  for (size_t m = 0; m < kMutants; ++m) {
+    const size_t kind = m % 3;
+    const std::vector<std::string>& seeds =
+        kind == 0 ? csv_seeds : kind == 1 ? table_seeds : text_seeds;
+    const std::string mutant = MutantOf(seeds, &rng);
+    path = WriteTempFile("tdm_loader_fuzz", mutant);
+    bool ok = false;
+    if (kind == 0) {
+      auto t = corpus::Loader::TableFromCsv(path, "t");
+      ok = t.ok();
+      if (ok) ExpectWellFormed(*t);
+    } else if (kind == 1) {
+      auto t = corpus::Loader::TableFromJsonl(path, "t");
+      ok = t.ok();
+      if (ok) ExpectWellFormed(*t);
+    } else {
+      auto c = corpus::Loader::TextsFromJsonl(path, "c");
+      ok = c.ok();
+      if (ok) {
+        EXPECT_GT(c->NumDocs(), 0u);
+        for (size_t d = 0; d < c->NumDocs(); ++d) {
+          EXPECT_FALSE(c->DocText(d).empty()) << mutant;
+          EXPECT_FALSE(c->DocId(d).empty()) << mutant;
+        }
+      }
+    }
+    if (ok) {
+      ++loaded;
+    } else {
+      ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  // The budget reaches both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

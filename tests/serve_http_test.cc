@@ -502,6 +502,23 @@ TEST(HttpParserTest, AcceptsIdenticalRepeatedContentLength) {
   EXPECT_EQ(p.request().body, "ok");
 }
 
+TEST(HttpParserTest, RejectsEmptyContentLength) {
+  // An empty value is malformed, not "no body": read as absent, the body
+  // bytes would become the next pipelined request.
+  HttpParser p(HttpParser::Mode::kRequest);
+  EXPECT_FALSE(
+      p.Feed("POST /v1/query HTTP/1.1\r\nContent-Length:\r\n\r\n{}").ok());
+  EXPECT_EQ(p.http_status(), 400);
+  EXPECT_FALSE(p.Done());
+  EXPECT_EQ(p.leftover(), "");
+
+  // Absent still means no body.
+  HttpParser absent(HttpParser::Mode::kRequest);
+  ASSERT_TRUE(absent.Feed("POST /v1/reload HTTP/1.1\r\n\r\n").ok());
+  ASSERT_TRUE(absent.Done());
+  EXPECT_EQ(absent.request().body, "");
+}
+
 TEST(HttpParserTest, ParsesPipelinedRequestsAcrossReset) {
   HttpParser p(HttpParser::Mode::kRequest);
   ASSERT_TRUE(p.Feed("GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n").ok());

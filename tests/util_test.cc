@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -313,6 +316,72 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_TRUE(Csv::ReadFile("/nonexistent/nope.csv").status().IsIOError());
+}
+
+// ---------------------------------------------------------------------------
+// Crc32
+// ---------------------------------------------------------------------------
+
+/// The byte-at-a-time (Sarwate) CRC-32: the reference every value of the
+/// slicing-by-8 Crc32 must equal.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = RandomBytes(64 + 8, 20261018);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+      EXPECT_EQ(Crc32(p, len, 0x12345678u),
+                ReferenceCrc32(p, len, 0x12345678u))
+          << "seeded, offset " << offset << " len " << len;
+    }
+  }
+  const std::vector<unsigned char> big = RandomBytes(size_t{1} << 20, 7);
+  EXPECT_EQ(Crc32(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size(), 0));
+}
+
+TEST(Crc32Test, ChainingEqualsOneShot) {
+  const std::vector<unsigned char> bytes = RandomBytes(4099, 99);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split : {size_t{1}, size_t{3}, size_t{7}, size_t{9}, size_t{13},
+                       size_t{1001}, size_t{4095}}) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include "embed/negative_sampler.h"
+#include "util/rng.h"
 #include "util/simd/kernels.h"
 #include "util/thread_pool.h"
 
@@ -15,19 +17,26 @@ namespace tdmatch {
 namespace embed {
 
 /// \file
-/// Shared machinery for deterministic block-parallel SGD, used by the
-/// Word2Vec and Doc2Vec trainers.
+/// The one deterministic block-parallel SGD core behind the Word2Vec and
+/// Doc2Vec trainers.
 ///
 /// The schedule: sentences/docs are partitioned into fixed-size *blocks*
 /// (kItemsPerBlock items), blocks into fixed-size *groups*
 /// (kBlocksPerGroup blocks). Within a group, workers claim blocks with a
 /// lock-free ticket counter and train each block against the shared
 /// weights *frozen at group start*, accumulating all updates in a
-/// per-block sparse delta buffer (SparseDelta). When every block of the
-/// group has finished, the deltas are merged into the shared weights in
-/// canonical block order. Each block draws subsampling / window /
-/// negative samples exclusively from its own seed-derived RNG stream
-/// (BlockSeed).
+/// per-block sparse delta buffer (SparseDelta) per shared matrix. When
+/// every block of the group has finished, the deltas are merged into the
+/// shared weights in canonical block order. Each block draws subsampling
+/// / window / negative samples exclusively from its own seed-derived RNG
+/// stream (BlockSeed).
+///
+/// BlockScheduler owns all of that machinery: the per-(block, matrix)
+/// deltas, the worker slot maps, the touch counts, capture, the weighted
+/// merge and its timing. A trainer hands it the shared matrices once and
+/// supplies only the per-block compute, which reads and writes rows
+/// through BlockRows and runs its positive-plus-negatives updates through
+/// NegativeSampling::Update (one loop for CBOW, skip-gram and Doc2Vec).
 ///
 /// The merge damps the sum: each row's delta is scaled by
 /// 1/sqrt(blocks of the group that touched the row). A plain sum
@@ -210,24 +219,94 @@ class SparseDelta {
   std::vector<std::unique_ptr<float[]>> chunks_;
 };
 
+/// A shared weight matrix the schedule trains: `rows` x `dim` floats.
+struct SharedMatrix {
+  float* data = nullptr;
+  size_t rows = 0;
+  int dim = 0;
+};
+
+/// The block-local view one compute call trains through: Row(m, r) is the
+/// block's working copy of row `r` of shared matrix `m` (copied on first
+/// touch, see SparseDelta::Row).
+class BlockRows {
+ public:
+  BlockRows(SparseDelta* deltas, std::vector<int32_t>* slot_maps)
+      : deltas_(deltas), slot_maps_(slot_maps) {}
+
+  float* Row(size_t m, int32_t r) {
+    return deltas_[m].Row(r, slot_maps_[m].data());
+  }
+
+ private:
+  SparseDelta* deltas_;              // the block's delta per matrix
+  std::vector<int32_t>* slot_maps_;  // the worker's slot map per matrix
+};
+
+/// \brief One positive-plus-negatives SGD update, the inner loop of CBOW,
+/// skip-gram and Doc2Vec training.
+///
+/// Update() trains input vector `in` toward output row `positive` of
+/// matrix `out_matrix` and away from `negative` rows drawn from `sampler`
+/// at table slot `rng.Next() & slot_mask` (a draw equal to `positive` is
+/// skipped). Each output row is updated in place; the input gradient is
+/// written to `grad` (overwritten, not added to) for the caller to apply.
+/// `Sigmoid` is the trainer's activation, a template argument so it
+/// inlines.
+template <float (*Sigmoid)(float)>
+struct NegativeSampling {
+  const NegativeSampler& sampler;
+  uint64_t slot_mask;
+  int negative;
+  size_t out_matrix;
+  const simd::Kernels& k;
+  size_t dim;
+
+  void Update(BlockRows& rows, util::Rng& rng, int32_t positive,
+              const float* in, float lr, float* grad) const {
+    for (int n = 0; n <= negative; ++n) {
+      int32_t target = positive;
+      float label = 1.0f;
+      if (n > 0) {
+        target = sampler.Sample(rng.Next() & slot_mask);
+        if (target == positive) continue;
+        label = 0.0f;
+      }
+      // `in` is an input-matrix row or caller scratch, never an output
+      // row, so the two never alias.
+      float* const out = rows.Row(out_matrix, target);
+      const float g = (label - Sigmoid(k.dot(in, out, dim))) * lr;
+      // n == 0 always runs, so assigning there replaces a zero-fill.
+      if (n == 0) {
+        k.scale_into(g, out, grad, dim);
+      } else {
+        k.axpy(g, out, grad, dim);
+      }
+      k.axpy(g, in, out, dim);
+    }
+  }
+};
+
 /// \brief Runs the deterministic block schedule over a corpus.
 ///
-/// Owns the worker pool (created only when both threads > 1 and there is
-/// more than one block) and the group loop; the trainer supplies two
-/// callbacks per epoch:
-///   compute(block, worker) — train one block into its delta buffers,
-///     using the worker-indexed scratch; invoked concurrently, blocks
-///     claimed by a lock-free ticket counter;
-///   merge(group_begin, group_end) — fold the group's deltas into the
-///     shared weights in canonical block order; invoked once per group
-///     after every compute of the group has finished (the trainer needs
-///     the whole group at once to compute per-row touch counts for the
-///     weighted merge).
+/// Takes the shared matrices once and owns everything between them and
+/// the trainer's per-block compute: the worker pool (created only when
+/// both threads > 1 and there is more than one block), a SparseDelta per
+/// (block of a group, matrix), one slot map per (worker, matrix), and the
+/// per-row touch counts. For every block it resets the block's deltas,
+/// calls compute(block, worker, rows) — concurrently, blocks claimed by a
+/// lock-free ticket counter, `worker` indexing the trainer's own scratch
+/// — and captures the deltas. After each group's barrier it merges the
+/// group's deltas in canonical block order, damped by each row's touch
+/// count (see the file comment), and times that merge.
 class BlockScheduler {
  public:
-  BlockScheduler(size_t num_items, size_t threads);
+  using Compute =
+      std::function<void(size_t block, size_t worker, BlockRows rows)>;
 
-  size_t num_blocks() const { return num_blocks_; }
+  BlockScheduler(size_t num_items, size_t threads,
+                 std::vector<SharedMatrix> matrices);
+
   /// Number of distinct worker indices compute() may see.
   size_t num_workers() const { return pool_ ? threads_ : 1; }
   /// Item range [begin, end) of one block.
@@ -235,15 +314,25 @@ class BlockScheduler {
   size_t block_end(size_t block) const;
 
   /// One full pass over all blocks (group-by-group compute + merge).
-  void RunEpoch(
-      const std::function<void(size_t block, size_t worker)>& compute,
-      const std::function<void(size_t group_begin, size_t group_end)>& merge);
+  /// Returns the wall seconds spent in the group merges.
+  double RunEpoch(const Compute& compute);
 
  private:
+  void ComputeBlock(const Compute& compute, size_t block, size_t worker);
+  void MergeGroup(size_t group_begin, size_t group_end);
+  SparseDelta* BlockDeltas(size_t block) {
+    return &deltas_[(block % kBlocksPerGroup) * matrices_.size()];
+  }
+
   size_t num_items_;
   size_t num_blocks_;
   size_t threads_;
+  std::vector<SharedMatrix> matrices_;
+  const simd::Kernels& k_;
   std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<SparseDelta> deltas_;              // [block % group][matrix]
+  std::vector<std::vector<int32_t>> slot_maps_;  // [worker][matrix]
+  std::vector<std::vector<uint32_t>> touch_;     // [matrix][row]
 };
 
 }  // namespace embed

@@ -25,16 +25,9 @@ inline float Sigmoid(float x) {
   return 1.0f / (1.0f + std::exp(-x));
 }
 
-struct WorkerScratch {
-  std::vector<int32_t> slot_docs;   // doc row -> block slot
-  std::vector<int32_t> slot_words;  // word_out row -> block slot
-  std::vector<float> grad;
-};
-
-struct BlockDelta {
-  SparseDelta docs;
-  SparseDelta words;
-};
+/// Shared-matrix indices in the block schedule.
+constexpr size_t kDocs = 0;
+constexpr size_t kWords = 1;
 
 }  // namespace
 
@@ -75,9 +68,6 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
   }
 
   const float lr0 = static_cast<float>(options_.initial_lr);
-  float* const dvec = doc_vecs_.data();
-  float* const wout = word_out_.data();
-  const int negative = options_.negative;
   const uint64_t seed = options_.seed;
 
   // Inner loops call the dispatched kernels, read once here; they are
@@ -87,90 +77,32 @@ util::Status Doc2Vec::Train(const std::vector<std::vector<int32_t>>& docs,
 
   // Deterministic block-parallel SGD over doc blocks (same schedule and
   // contract as Word2Vec, see block_sharder.h). A doc's vector is only
-  // ever touched by its own block; the shared word-output matrix merges
-  // through the per-block deltas in canonical order.
-  BlockScheduler sched(num_docs_, options_.threads);
-  std::vector<WorkerScratch> scratch(sched.num_workers());
-  for (auto& ws : scratch) {
-    ws.slot_docs.assign(num_docs_, -1);
-    ws.slot_words.assign(word_vocab_size, -1);
-    ws.grad.resize(static_cast<size_t>(dim));
-  }
-  std::vector<BlockDelta> deltas(
-      std::min<size_t>(sched.num_blocks(), kBlocksPerGroup));
-  // Per-row touch counts for the weighted merge. Doc rows are block-local
-  // (count 1, full update); word-output rows are shared and averaged.
-  std::vector<uint32_t> touch_docs(num_docs_, 0);
-  std::vector<uint32_t> touch_words(word_vocab_size, 0);
+  // ever touched by its own block (merge weight 1, the full update); the
+  // shared word-output rows are damped by their touch counts.
+  BlockScheduler sched(num_docs_, options_.threads,
+                       {{doc_vecs_.data(), num_docs_, dim},
+                        {word_out_.data(), word_vocab_size, dim}});
+  std::vector<std::vector<float>> grads(sched.num_workers(),
+                                        std::vector<float>(dn));
+  const NegativeSampling<Sigmoid> ns{sampler_, kTableSize - 1,
+                                     options_.negative, kWords, k, dn};
 
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     const float lr = lr0 * (1.0f - static_cast<float>(epoch) /
                                        static_cast<float>(options_.epochs));
-
-    auto compute = [&](size_t block, size_t worker) {
-      WorkerScratch& ws = scratch[worker];
-      BlockDelta& bd = deltas[block % kBlocksPerGroup];
-      bd.docs.Reset(dvec, dim);
-      bd.words.Reset(wout, dim);
-      int32_t* const slot_docs = ws.slot_docs.data();
-      int32_t* const slot_words = ws.slot_words.data();
-      float* const grad = ws.grad.data();
+    sched.RunEpoch([&](size_t block, size_t worker, BlockRows rows) {
+      float* const grad = grads[worker].data();
       util::Rng rng(BlockSeed(seed, kD2vStreamSalt,
                               static_cast<uint64_t>(epoch), block));
-
-      const size_t d_begin = sched.block_begin(block);
-      const size_t d_end = sched.block_end(block);
-      for (size_t di = d_begin; di < d_end; ++di) {
-        float* const v = bd.docs.Row(static_cast<int32_t>(di), slot_docs);
+      for (size_t di = sched.block_begin(block); di < sched.block_end(block);
+           ++di) {
+        float* const v = rows.Row(kDocs, static_cast<int32_t>(di));
         for (int32_t w : docs[di]) {
-          for (int n = 0; n <= negative; ++n) {
-            int32_t target;
-            float label;
-            if (n == 0) {
-              target = w;
-              label = 1.0f;
-            } else {
-              target = sampler_.Sample(rng.Next() & (kTableSize - 1));
-              if (target == w) continue;
-              label = 0.0f;
-            }
-            float* const out = bd.words.Row(target, slot_words);
-            const float dot = k.dot(v, out, dn);
-            const float gr = (label - Sigmoid(dot)) * lr;
-            // n == 0 always runs, so assignment replaces the zero-fill.
-            if (n == 0) {
-              k.scale_into(gr, out, grad, dn);
-            } else {
-              k.axpy(gr, out, grad, dn);
-            }
-            k.axpy(gr, v, out, dn);
-          }
+          ns.Update(rows, rng, w, v, lr, grad);
           k.add(grad, v, dn);
         }
       }
-      bd.docs.Capture(slot_docs, k);
-      bd.words.Capture(slot_words, k);
-    };
-
-    auto merge = [&](size_t group_begin, size_t group_end) {
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        for (int32_t row : bd.docs.touched()) ++touch_docs[row];
-        for (int32_t row : bd.words.touched()) ++touch_words[row];
-      }
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        bd.docs.MergeWeighted(touch_docs.data(), k);
-        bd.words.MergeWeighted(touch_words.data(), k);
-      }
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        for (int32_t row : bd.docs.touched()) touch_docs[row] = 0;
-        for (int32_t row : bd.words.touched()) touch_words[row] = 0;
-      }
-    };
-
-    sched.RunEpoch(compute, merge);
+    });
   }
   trained_ = true;
   return util::Status::OK();

@@ -22,19 +22,15 @@ constexpr size_t kUnigramTableSize = 1 << 20;
 /// BlockSeed).
 constexpr uint64_t kW2vStreamSalt = 0x77327665635f5347ULL;
 
+/// Shared-matrix indices in the block schedule.
+constexpr size_t kSyn0 = 0;
+constexpr size_t kSyn1 = 1;
+
 /// Per-worker scratch reused across all blocks a worker computes.
 struct WorkerScratch {
-  std::vector<int32_t> slot_syn0;  // row -> block slot, -1 = untouched
-  std::vector<int32_t> slot_syn1;
-  std::vector<float> neu1;         // CBOW context average
-  std::vector<float> neu1e;        // accumulated input gradient
-  std::vector<int32_t> filtered;   // subsampling buffer
-};
-
-/// Per-block delta buffers for the two weight matrices.
-struct BlockDelta {
-  SparseDelta syn0;
-  SparseDelta syn1;
+  std::vector<float> neu1;        // CBOW context average
+  std::vector<float> neu1e;       // accumulated input gradient
+  std::vector<int32_t> filtered;  // subsampling buffer
 };
 
 }  // namespace
@@ -115,9 +111,6 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
   const uint64_t total_steps =
       total_words * static_cast<uint64_t>(options_.epochs);
   const float initial_lr = static_cast<float>(options_.initial_lr);
-  float* const syn0 = syn0_.data();
-  float* const syn1 = syn1neg_.data();
-  const int negative = options_.negative;
   const int window = options_.window;
   const bool cbow = options_.cbow;
   const uint64_t seed = options_.seed;
@@ -130,23 +123,18 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
 
   // Deterministic block-parallel SGD (see the contract in the header and
   // block_sharder.h): workers train fixed sentence blocks against the
-  // group-start weights into sparse delta buffers; deltas merge in
-  // canonical block order, so the result is independent of the thread
-  // count.
-  BlockScheduler sched(num_sentences, options_.threads);
+  // group-start weights; the scheduler merges their deltas in canonical
+  // block order, so the result is independent of the thread count.
+  BlockScheduler sched(num_sentences, options_.threads,
+                       {{syn0_.data(), vocab_size, dim},
+                        {syn1neg_.data(), vocab_size, dim}});
   std::vector<WorkerScratch> scratch(sched.num_workers());
   for (auto& ws : scratch) {
-    ws.slot_syn0.assign(vocab_size, -1);
-    ws.slot_syn1.assign(vocab_size, -1);
-    ws.neu1.resize(static_cast<size_t>(dim));
-    ws.neu1e.resize(static_cast<size_t>(dim));
+    ws.neu1.resize(dn);
+    ws.neu1e.resize(dn);
   }
-  std::vector<BlockDelta> deltas(
-      std::min<size_t>(sched.num_blocks(), kBlocksPerGroup));
-  // Per-row touch counts for the weighted merge; zeroed between groups by
-  // walking the same touched lists, so steady state is O(touched).
-  std::vector<uint32_t> touch0(vocab_size, 0);
-  std::vector<uint32_t> touch1(vocab_size, 0);
+  const NegativeSampling<FastSigmoid> ns{
+      sampler_, kUnigramTableSize - 1, options_.negative, kSyn1, k, dn};
 
   epoch_seconds_.clear();
   epoch_seconds_.reserve(static_cast<size_t>(options_.epochs));
@@ -157,13 +145,8 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
     const uint64_t epoch_words =
         static_cast<uint64_t>(epoch) * total_words;
 
-    auto compute = [&](size_t block, size_t worker) {
+    auto compute = [&](size_t block, size_t worker, BlockRows rows) {
       WorkerScratch& ws = scratch[worker];
-      BlockDelta& bd = deltas[block % kBlocksPerGroup];
-      bd.syn0.Reset(syn0, dim);
-      bd.syn1.Reset(syn1, dim);
-      int32_t* const slot0 = ws.slot_syn0.data();
-      int32_t* const slot1 = ws.slot_syn1.data();
       float* const neu1e = ws.neu1e.data();
       // The block's private stream: subsampling, window reduction, and
       // negative draws are consumed from it and nothing else.
@@ -208,108 +191,33 @@ util::Status Word2Vec::TrainSpans(const TokenSpan* sentences,
             std::fill(ws.neu1.begin(), ws.neu1.end(), 0.0f);
             for (int p = lo; p <= hi; ++p) {
               if (p == pos) continue;
-              k.add(bd.syn0.Row(sent[p], slot0), ws.neu1.data(), dn);
+              k.add(rows.Row(kSyn0, sent[p]), ws.neu1.data(), dn);
               ++cw;
             }
             if (cw == 0) continue;
             for (int d = 0; d < dim; ++d) {
               ws.neu1[static_cast<size_t>(d)] /= static_cast<float>(cw);
             }
-            const float* const ctx = ws.neu1.data();
-            for (int n = 0; n <= negative; ++n) {
-              int32_t target;
-              float label;
-              if (n == 0) {
-                target = center;
-                label = 1.0f;
-              } else {
-                target =
-                    sampler_.Sample(rng.Next() & (kUnigramTableSize - 1));
-                if (target == center) continue;
-                label = 0.0f;
-              }
-              float* const out = bd.syn1.Row(target, slot1);
-              const float dot = k.dot(ctx, out, dn);
-              const float grad = (label - FastSigmoid(dot)) * lr;
-              // n == 0 always runs (no continue path), so assigning there
-              // replaces the upfront zero-fill of the scratch gradient.
-              if (n == 0) {
-                k.scale_into(grad, out, neu1e, dn);
-              } else {
-                k.axpy(grad, out, neu1e, dn);
-              }
-              k.axpy(grad, ctx, out, dn);
-            }
+            ns.Update(rows, rng, center, ws.neu1.data(), lr, neu1e);
             for (int p = lo; p <= hi; ++p) {
               if (p == pos) continue;
-              k.add(neu1e, bd.syn0.Row(sent[p], slot0), dn);
+              k.add(neu1e, rows.Row(kSyn0, sent[p]), dn);
             }
           } else {
             // Skip-gram: center predicts each context word.
-            float* const vin = bd.syn0.Row(center, slot0);
+            float* const vin = rows.Row(kSyn0, center);
             for (int p = lo; p <= hi; ++p) {
               if (p == pos) continue;
-              const int32_t context = sent[p];
-              for (int n = 0; n <= negative; ++n) {
-                int32_t target;
-                float label;
-                if (n == 0) {
-                  target = context;
-                  label = 1.0f;
-                } else {
-                  target =
-                      sampler_.Sample(rng.Next() & (kUnigramTableSize - 1));
-                  if (target == context) continue;
-                  label = 0.0f;
-                }
-                float* const out = bd.syn1.Row(target, slot1);
-                const float dot = k.dot(vin, out, dn);
-                const float grad = (label - FastSigmoid(dot)) * lr;
-                if (n == 0) {
-                  k.scale_into(grad, out, neu1e, dn);
-                } else {
-                  k.axpy(grad, out, neu1e, dn);
-                }
-                // syn1 and syn0 deltas live in distinct buffers, so `out`
-                // never aliases `vin`.
-                k.axpy(grad, vin, out, dn);
-              }
+              ns.Update(rows, rng, sent[p], vin, lr, neu1e);
               k.add(neu1e, vin, dn);
             }
           }
         }
       }
-      bd.syn0.Capture(slot0, k);
-      bd.syn1.Capture(slot1, k);
     };
 
-    // Weighted group merge: each row's delta is averaged over the blocks
-    // of the group that touched it (see block_sharder.h on why a plain
-    // sum diverges on walk corpora). One clock pair per group times it.
-    double merge_s = 0.0;
-    auto merge = [&](size_t group_begin, size_t group_end) {
-      const util::StopWatch merge_watch;
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        for (int32_t row : bd.syn0.touched()) ++touch0[row];
-        for (int32_t row : bd.syn1.touched()) ++touch1[row];
-      }
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        bd.syn0.MergeWeighted(touch0.data(), k);
-        bd.syn1.MergeWeighted(touch1.data(), k);
-      }
-      for (size_t b = group_begin; b < group_end; ++b) {
-        const BlockDelta& bd = deltas[b % kBlocksPerGroup];
-        for (int32_t row : bd.syn0.touched()) touch0[row] = 0;
-        for (int32_t row : bd.syn1.touched()) touch1[row] = 0;
-      }
-      merge_s += merge_watch.ElapsedSeconds();
-    };
-
-    sched.RunEpoch(compute, merge);
+    merge_seconds_.push_back(sched.RunEpoch(compute));
     epoch_seconds_.push_back(epoch_watch.ElapsedSeconds());
-    merge_seconds_.push_back(merge_s);
   }
 
   trained_ = true;

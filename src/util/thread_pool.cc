@@ -32,11 +32,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
 void ThreadPool::RunTasks(size_t tasks,
                           const std::function<void(size_t)>& fn) {
   // Completion latch per call. The decrement happens under the mutex: the
@@ -79,14 +74,8 @@ void ThreadPool::WorkerLoop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) done_cv_.notify_all();
-    }
   }
 }
 

@@ -11,8 +11,10 @@
 namespace tdmatch {
 namespace util {
 
-/// \brief Fixed-size worker pool with a blocking Wait(); used by the
-/// Word2Vec trainer (Hogwild) and the random-walk generator.
+/// \brief Fixed-size worker pool. RunTasks is the blocking fork-join (the
+/// block-parallel trainers' group barrier, the query engines' batch scans,
+/// the serving epoch builder); Submit is fire-and-forget (the HTTP
+/// server's connections).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 → hardware concurrency, min 1).
@@ -22,11 +24,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task.
+  /// Enqueues a task. The destructor runs every queued task before it
+  /// joins the workers.
   void Submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have finished.
-  void Wait();
 
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
@@ -56,8 +56,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  size_t active_ = 0;
   bool stop_ = false;
 };
 

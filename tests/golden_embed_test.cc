@@ -1,11 +1,11 @@
-// Golden regression tests for the embedding hot path (random walks +
-// Word2Vec).
+// Golden regression tests for the embedding hot path (random walks,
+// Word2Vec and Doc2Vec).
 //
 // The walk goldens were captured from the pre-CSR seed implementation;
-// the Word2Vec goldens pin the deterministic *block-parallel* schedule
-// (block_sharder.h): fixed sentence blocks, per-block seed-derived RNG
-// streams, sparse deltas merged in canonical block order. They lock
-// down, bit for bit, that
+// the Word2Vec and Doc2Vec goldens pin the deterministic
+// *block-parallel* schedule (block_sharder.h): fixed sentence blocks,
+// per-block seed-derived RNG streams, sparse deltas merged in canonical
+// block order. They lock down, bit for bit, that
 //
 //  * RandomWalker produces identical walks over the flat CSR layout,
 //    for any thread count, via both the corpus and the nested API;
@@ -15,6 +15,8 @@
 //    tolerance elsewhere (see ExpectGolden) — byte-identical for
 //    threads ∈ {1, 2, 8}, including corpora spanning multiple merge
 //    groups;
+//  * Doc2Vec training and inference reproduce captured vectors on a
+//    three-group corpus, for threads ∈ {1, 2, 8};
 //  * Word2Vec and Doc2Vec train byte-identical vectors under the scalar
 //    and the AVX2 kernel tables (the trainers dispatch, and the kernels
 //    they call are bit-exact between ISAs);
@@ -281,6 +283,65 @@ TEST(GoldenWord2VecTest, EndToEndWalkCorpusTrainingIsDeterministic) {
   EXPECT_EQ(base, train_once(2));
   EXPECT_EQ(base, train_once(4));
   EXPECT_EQ(base, train_once(8));
+}
+
+// ---------------------------------------------------------------------------
+// Doc2Vec goldens
+// ---------------------------------------------------------------------------
+
+/// 80 docs (three merge groups of kItemsPerBlock × kBlocksPerGroup docs)
+/// over a 12-word vocabulary: even docs draw on words 0–5, odd docs on
+/// 6–11, each with one extra cross-cluster word.
+std::vector<std::vector<int32_t>> GoldenDocs() {
+  std::vector<std::vector<int32_t>> out;
+  for (int32_t i = 0; i < 80; ++i) {
+    const int32_t base = (i % 2) * 6;
+    out.push_back({base, base + 1 + i % 3, base + 2, base + 3 + i % 2,
+                   base + 5, i % 12});
+  }
+  return out;
+}
+
+Doc2VecOptions GoldenD2vOptions(size_t threads) {
+  Doc2VecOptions o;
+  o.dim = 16;
+  o.epochs = 10;
+  o.initial_lr = 0.05;  // every pinned dim moves > 4e-3 from its init
+  o.threads = threads;
+  o.seed = 42;
+  return o;
+}
+
+// Captured at threads=1 from the block-schedule trainer (hex bit
+// patterns): doc 0 (first group), doc 77 (last group) and
+// Infer({0, 1, 2, 3, 4, 5}).
+const uint32_t kGoldenDoc0[16] = {
+    0xbcf8a291u, 0x395b295cu, 0x3d0427c1u, 0x3c1971bcu, 0xbcd75d9au,
+    0xbc4f412bu, 0xbca4792au, 0x3c5be1d3u, 0xbc31282fu, 0x3c317e33u,
+    0xbc6abda1u, 0x3d01de9eu, 0xbd86bfc5u, 0x3b757faau, 0x3a40754cu,
+    0x3dffc6d7u};
+const uint32_t kGoldenDoc77[16] = {
+    0xbca6c9a0u, 0xbc8f7e37u, 0x3c3e3e96u, 0xbc2ca83fu, 0xbdbf4c99u,
+    0xbc6de79cu, 0xbd9abfb6u, 0xbcbd227bu, 0xbd092238u, 0x3b38e92eu,
+    0xbcbadca5u, 0x3da5fd54u, 0xbdf4a17au, 0x3d4dabbcu, 0xbbbbe5ddu,
+    0x3e0b1ad4u};
+const uint32_t kGoldenInfer[16] = {
+    0xbbf0c9e7u, 0x3dacf2f0u, 0x3e99dfedu, 0xbe5f66cfu, 0xbf5b676bu,
+    0xbedb48e2u, 0xbef9d4f7u, 0xbe2abd3cu, 0xbecd37deu, 0x3db0a0eeu,
+    0xbeaa0fb6u, 0x3f2b6adfu, 0xbfa33240u, 0x3e6923edu, 0xbe2a3ddcu,
+    0x3fb96353u};
+
+TEST(GoldenDoc2VecTest, TrainAndInferMatchGoldenAcrossThreadCounts) {
+  const auto docs = GoldenDocs();
+  for (size_t threads : {1u, 2u, 8u}) {
+    Doc2Vec d2v(GoldenD2vOptions(threads));
+    ASSERT_TRUE(d2v.Train(docs, 12).ok());
+    const std::string tag = " threads=" + std::to_string(threads);
+    ExpectGolden(d2v.DocVector(0).data(), kGoldenDoc0, "doc0" + tag);
+    ExpectGolden(d2v.DocVector(77).data(), kGoldenDoc77, "doc77" + tag);
+    ExpectGolden(d2v.Infer({0, 1, 2, 3, 4, 5}).data(), kGoldenInfer,
+                 "infer" + tag);
+  }
 }
 
 // ---------------------------------------------------------------------------

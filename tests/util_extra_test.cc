@@ -171,39 +171,21 @@ TEST(ThreadPoolExtraTest, DestructorDrainsQueuedTasks) {
         done.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    // No Wait(): the destructor must run every queued task before joining.
+    // The destructor must run every queued task before joining.
   }
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ThreadPoolExtraTest, WaitThenReuse) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolExtraTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
-  SUCCEED();
-}
-
 TEST(ThreadPoolExtraTest, SubmitFromWorkerDoesNotDeadlock) {
-  ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.Submit([&pool, &count] {
-    count.fetch_add(1);
-    pool.Submit([&count] { count.fetch_add(1); });
-  });
-  // Give the nested submission time to land before waiting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pool.Wait();
+  {
+    ThreadPool pool(2);
+    pool.Submit([&pool, &count] {
+      count.fetch_add(1);
+      pool.Submit([&count] { count.fetch_add(1); });
+    });
+    // The destructor runs the nested submission too before joining.
+  }
   EXPECT_EQ(count.load(), 2);
 }
 

@@ -390,22 +390,10 @@ TEST(Crc32Test, ChainingEqualsOneShot) {
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
+  std::vector<std::atomic<int>> hits(100);
+  for (auto& h : hits) h.store(0);
+  pool.RunTasks(hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {

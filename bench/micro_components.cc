@@ -1,13 +1,17 @@
 // Component micro-benchmarks (google-benchmark): the hot paths of the
 // pipeline — tokenization, stemming, n-grams, BFS, walk generation,
-// negative sampling, Word2Vec epochs and top-k selection.
+// negative sampling, Word2Vec epochs, top-k selection and serving index
+// search.
 //
 // End-to-end and per-layer performance claims come from tdbench; these
 // rows isolate one component each. The README keeps the last numbers of
 // the retired `…Ref` replicas (pre-CSR walks, the materialized unigram
 // table, partial_sort selection) beside the shipped code's:
 //
-//   ./micro_components --benchmark_filter='WalkGen|NegSample|TopK|Word2Vec'
+//   ./micro_components --benchmark_filter='WalkGen|NegSample|TopK|Word2Vec|Ivf|Exact'
+
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +22,8 @@
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "match/top_k.h"
+#include "serve/index.h"
+#include "serve/ivf_index.h"
 #include "text/ngram.h"
 #include "text/preprocess.h"
 #include "text/stemmer.h"
@@ -237,5 +243,76 @@ void BM_TopKSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKSelect)->Arg(1000)->Arg(100000);
+
+// ---------------------------------------------------------------------------
+// Serving index search at one serve_scan shard's shape: 25k clustered
+// members at dim 64, nlist 317, nprobe 8, k 5; queries are perturbed
+// copies of members (serve_scan's generator, a quarter of its candidates).
+// ---------------------------------------------------------------------------
+
+struct ShardIndexes {
+  std::shared_ptr<const serve::VectorMatrix> matrix;
+  std::unique_ptr<serve::ExactIndex> exact;
+  std::unique_ptr<serve::IvfIndex> ivf;
+  std::vector<std::vector<float>> queries;
+};
+
+const ShardIndexes& ShardShape() {
+  static const ShardIndexes* shape = [] {
+    constexpr int kDim = 64;
+    constexpr size_t kMembers = 25000;
+    constexpr size_t kCenters = 1000;
+    util::Rng rng(11);
+    std::vector<std::vector<float>> anchors(kCenters,
+                                            std::vector<float>(kDim));
+    for (auto& a : anchors) {
+      for (float& x : a) x = static_cast<float>(rng.Gaussian());
+    }
+    std::vector<std::vector<float>> rows(kMembers, std::vector<float>(kDim));
+    for (auto& r : rows) {
+      const auto& a = anchors[rng.UniformInt(kCenters)];
+      for (int d = 0; d < kDim; ++d) {
+        r[d] = a[d] + 0.35f * static_cast<float>(rng.Gaussian());
+      }
+    }
+    auto* s = new ShardIndexes;
+    std::vector<const std::vector<float>*> ptrs;
+    for (const auto& r : rows) ptrs.push_back(&r);
+    s->matrix = std::make_shared<const serve::VectorMatrix>(
+        serve::VectorMatrix::FromRows(ptrs, kDim));
+    s->exact = std::make_unique<serve::ExactIndex>(s->matrix);
+    serve::IvfOptions opts;
+    opts.nlist = 317;
+    opts.nprobe = 8;
+    s->ivf = std::make_unique<serve::IvfIndex>(s->matrix, opts);
+    for (int q = 0; q < 256; ++q) {
+      std::vector<float> v = rows[rng.UniformInt(kMembers)];
+      for (float& x : v) x += 0.1f * static_cast<float>(rng.Gaussian());
+      serve::NormalizeSlice(v.data(), kDim);
+      s->queries.push_back(std::move(v));
+    }
+    return s;
+  }();
+  return *shape;
+}
+
+void SearchLoop(benchmark::State& state, const serve::Index& index) {
+  const auto& queries = ShardShape().queries;
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Search(queries[q].data(), 5));
+    q = (q + 1) % queries.size();
+  }
+}
+
+void BM_IvfFlatSearch(benchmark::State& state) {
+  SearchLoop(state, *ShardShape().ivf);
+}
+BENCHMARK(BM_IvfFlatSearch);
+
+void BM_ExactSearch(benchmark::State& state) {
+  SearchLoop(state, *ShardShape().exact);
+}
+BENCHMARK(BM_ExactSearch);
 
 }  // namespace

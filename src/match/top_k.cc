@@ -1,6 +1,8 @@
 #include "match/top_k.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "embed/embedding_table.h"
 
@@ -9,20 +11,51 @@ namespace match {
 
 namespace {
 
-/// The ranking order: descending score, ties broken by lower index. This
-/// is a strict total order (indices are unique), so every selection
-/// strategy below produces the same, deterministic result.
-struct RankBefore {
-  const double* scores;
-  bool operator()(int32_t a, int32_t b) const {
-    const double sa = scores[static_cast<size_t>(a)];
-    const double sb = scores[static_cast<size_t>(b)];
-    if (sa != sb) return sa > sb;
-    return a < b;
+/// Heap comparator: with RankBefore as less-than, the root is the worst
+/// kept candidate.
+struct ByRank {
+  bool operator()(const Match& a, const Match& b) const {
+    return RankBefore(a.score, a.index, b.score, b.index);
   }
 };
 
 }  // namespace
+
+TopKHeap::TopKHeap(size_t k) : k_(k) {
+  heap_.reserve(k);
+  ResetBound();
+}
+
+void TopKHeap::ResetBound() {
+  // Before the heap fills, any candidate beats (NaN, past every index);
+  // with k = 0, none beats (+inf, -1).
+  bound_score_ = k_ > 0 ? std::numeric_limits<double>::quiet_NaN()
+                        : std::numeric_limits<double>::infinity();
+  bound_index_ = k_ > 0 ? std::numeric_limits<int64_t>::max() : -1;
+}
+
+void TopKHeap::Admit(Match m) {
+  if (heap_.size() < k_) {
+    heap_.push_back(m);
+    std::push_heap(heap_.begin(), heap_.end(), ByRank());
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), ByRank());
+    heap_.back() = m;
+    std::push_heap(heap_.begin(), heap_.end(), ByRank());
+  }
+  if (heap_.size() == k_) {
+    bound_score_ = heap_.front().score;
+    bound_index_ = heap_.front().index;
+  }
+}
+
+std::vector<Match> TopKHeap::Take() {
+  std::sort_heap(heap_.begin(), heap_.end(), ByRank());
+  std::vector<Match> out;
+  out.swap(heap_);
+  ResetBound();
+  return out;
+}
 
 std::vector<double> TopK::ScoreAll(
     const std::vector<float>& query,
@@ -37,63 +70,18 @@ std::vector<double> TopK::ScoreAll(
 
 std::vector<Match> TopK::Select(const std::vector<double>& scores, size_t k) {
   const size_t n = scores.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-  const RankBefore before{scores.data()};
-
-  std::vector<int32_t> idx;
-  if (k * 4 >= n) {
-    // Large k: sorting (most of) the index array outright beats heap
-    // maintenance.
-    idx.resize(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = static_cast<int32_t>(i);
-    std::partial_sort(idx.begin(),
-                      idx.begin() + static_cast<std::ptrdiff_t>(k), idx.end(),
-                      before);
-    idx.resize(k);
-  } else {
-    // Small k (the match::TopK hot path: k in the tens against thousands
-    // of candidates): a bounded heap of the k best seen so far. With
-    // `before` as the heap's less-than, the root is the *worst* kept
-    // candidate. The root's score is kept in a register so the common
-    // case — candidate does not displace anything — is one comparison
-    // with no memory traffic; heap work is O(log k) and rare. No O(n)
-    // index array is materialized.
-    idx.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      idx.push_back(static_cast<int32_t>(i));
-      std::push_heap(idx.begin(), idx.end(), before);
-    }
-    int32_t worst = idx.front();
-    double worst_score = scores[static_cast<size_t>(worst)];
-    for (size_t i = k; i < n; ++i) {
-      const double s = scores[i];
-      if (s < worst_score ||
-          (s == worst_score && static_cast<int32_t>(i) > worst)) {
-        continue;
-      }
-      std::pop_heap(idx.begin(), idx.end(), before);
-      idx.back() = static_cast<int32_t>(i);
-      std::push_heap(idx.begin(), idx.end(), before);
-      worst = idx.front();
-      worst_score = scores[static_cast<size_t>(worst)];
-    }
-    std::sort(idx.begin(), idx.end(), before);
-  }
-
-  std::vector<Match> out;
-  out.reserve(k);
-  for (int32_t i : idx) {
-    out.push_back(Match{i, scores[static_cast<size_t>(i)]});
-  }
-  return out;
+  const double* s = scores.data();
+  TopKHeap top(std::min(k, n));
+  for (size_t i = 0; i < n; ++i) top.Push(static_cast<int32_t>(i), s[i]);
+  return top.Take();
 }
 
 std::vector<int32_t> TopK::FullRanking(const std::vector<double>& scores) {
   std::vector<int32_t> idx(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) idx[i] = static_cast<int32_t>(i);
-  std::stable_sort(idx.begin(), idx.end(), [&](int32_t a, int32_t b) {
-    return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
+  std::iota(idx.begin(), idx.end(), 0);
+  std::sort(idx.begin(), idx.end(), [&](int32_t a, int32_t b) {
+    return RankBefore(scores[static_cast<size_t>(a)], a,
+                      scores[static_cast<size_t>(b)], b);
   });
   return idx;
 }

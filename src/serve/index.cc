@@ -11,23 +11,6 @@
 namespace tdmatch {
 namespace serve {
 
-namespace {
-
-/// Scores below any cosine; marks filtered-out candidates so the TopK
-/// heap never surfaces them.
-constexpr double kExcluded = -2.0;
-
-/// Drops kExcluded sentinels that survived Select when fewer than k
-/// candidates were allowed.
-std::vector<match::Match> StripExcluded(std::vector<match::Match> matches) {
-  while (!matches.empty() && matches.back().score <= kExcluded + 0.5) {
-    matches.pop_back();
-  }
-  return matches;
-}
-
-}  // namespace
-
 void NormalizeSlice(float* row, int dim) {
   double norm = 0.0;
   for (int d = 0; d < dim; ++d) {
@@ -87,12 +70,12 @@ std::vector<match::Match> Index::SearchVec(
 std::vector<match::Match> ExactIndex::Search(
     const float* query, size_t k, const std::vector<char>* allowed) const {
   const size_t n = data_->size();
-  std::vector<double> scores(n, kExcluded);
+  match::TopKHeap top(std::min(k, n));
   for (size_t i = 0; i < n; ++i) {
     if (allowed != nullptr && (*allowed)[i] == 0) continue;
-    scores[i] = data_->Dot(query, i);
+    top.Push(static_cast<int32_t>(i), data_->Dot(query, i));
   }
-  return StripExcluded(match::TopK::Select(scores, k));
+  return top.Take();
 }
 
 double MeasureRecallAtK(const Index& approx, const Index& exact,

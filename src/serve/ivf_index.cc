@@ -157,16 +157,17 @@ std::vector<match::Match> IvfIndex::SearchWithNprobe(
     const float* query, size_t k, size_t nprobe,
     const std::vector<char>* allowed) const {
   const size_t d = static_cast<size_t>(data_->dim());
-  if (data_->size() == 0 || k == 0) return {};
+  k = std::min(k, data_->size());
+  if (k == 0) return {};
   nprobe = std::max<size_t>(1, std::min(nprobe, nlist_));
 
   // Coarse quantizer: nearest nprobe cells by centroid dot product.
-  std::vector<double> cell_scores(nlist_);
+  match::TopKHeap cells(nprobe);
   for (size_t c = 0; c < nlist_; ++c) {
-    cell_scores[c] = simd::Dot(query, centroids_.data() + c * d, d);
+    cells.Push(static_cast<int32_t>(c),
+               simd::Dot(query, centroids_.data() + c * d, d));
   }
-  const std::vector<match::Match> probes =
-      match::TopK::Select(cell_scores, nprobe);
+  const std::vector<match::Match> probes = cells.Take();
 
   return pq_enabled() ? SearchPq(query, k, probes, allowed)
                       : SearchFlat(query, k, probes, allowed);
@@ -177,9 +178,13 @@ std::vector<match::Match> IvfIndex::SearchFlat(
     const std::vector<char>* allowed) const {
   const size_t d = static_cast<size_t>(data_->dim());
 
-  // Scan the probed lists: exact cosine on every member (the vectors are
-  // full-precision, so the "re-rank" is exact by construction).
-  std::vector<match::Match> gathered;
+  // One pass over the probed lists: each member's exact cosine (the
+  // vectors are full-precision, so the "re-rank" is exact by
+  // construction) goes straight into the bounded heap. Its order breaks
+  // ties by lower candidate id whatever the scan order, so IVF and exact
+  // return identical results whenever the probed cells cover the exact
+  // top-k, ties included.
+  match::TopKHeap top(k);
   for (const auto& probe : probes) {
     const size_t c = static_cast<size_t>(probe.index);
     for (size_t pos = list_offsets_[c]; pos < list_offsets_[c + 1]; ++pos) {
@@ -187,31 +192,10 @@ std::vector<match::Match> IvfIndex::SearchFlat(
       if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
         continue;
       }
-      const float dot = simd::Dot(query, list_vectors_.data() + pos * d, d);
-      gathered.push_back(match::Match{id, dot});
+      top.Push(id, simd::Dot(query, list_vectors_.data() + pos * d, d));
     }
   }
-
-  // Re-rank through the bounded heap of match::TopK, whose ties break by
-  // lower position. Sorting the gather by candidate id first (cheap: the
-  // gather is nprobe short id-sorted runs) makes that tie-break the
-  // global id order — so IVF and exact return identical results whenever
-  // the probed cells cover the exact top-k, ties included.
-  std::sort(gathered.begin(), gathered.end(),
-            [](const match::Match& a, const match::Match& b) {
-              return a.index < b.index;
-            });
-  std::vector<double> scores;
-  scores.reserve(gathered.size());
-  for (const auto& g : gathered) scores.push_back(g.score);
-  std::vector<match::Match> top = match::TopK::Select(scores, k);
-  std::vector<match::Match> out;
-  out.reserve(top.size());
-  for (const auto& m : top) {
-    out.push_back(
-        match::Match{gathered[static_cast<size_t>(m.index)].index, m.score});
-  }
-  return out;
+  return top.Take();
 }
 
 std::vector<match::Match> IvfIndex::SearchPq(
@@ -235,9 +219,10 @@ std::vector<match::Match> IvfIndex::SearchPq(
   }
 
   // ADC scan of the probed lists: each cell's codes are one contiguous
-  // stripe, scored in a single batched kernel call; the allowed filter
-  // applies during the gather of the scored stripe.
-  std::vector<match::Match> gathered;
+  // stripe, scored in a single batched kernel call; the allowed members'
+  // scores go straight into a heap of the best `pq_rerank` (at least k).
+  match::TopKHeap shortlist(
+      std::min(std::max<size_t>(options_.pq_rerank, k), data_->size()));
   std::vector<float> approx;
   for (const auto& probe : probes) {
     const size_t c = static_cast<size_t>(probe.index);
@@ -252,44 +237,19 @@ std::vector<match::Match> IvfIndex::SearchPq(
       if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
         continue;
       }
-      gathered.push_back(match::Match{id, approx[j]});
+      shortlist.Push(id, approx[j]);
     }
   }
 
-  // Keep the best `pq_rerank` ADC candidates (at least k), then re-rank
-  // those exactly against the shared full-precision matrix. Both
-  // selections run over id-sorted input so TopK's position tie-break is
-  // the global id order, matching ExactIndex on ties.
-  std::sort(gathered.begin(), gathered.end(),
-            [](const match::Match& a, const match::Match& b) {
-              return a.index < b.index;
-            });
-  std::vector<double> approx_scores;
-  approx_scores.reserve(gathered.size());
-  for (const auto& g : gathered) approx_scores.push_back(g.score);
-  const size_t rerank = std::max<size_t>(options_.pq_rerank, k);
-  std::vector<match::Match> shortlist =
-      match::TopK::Select(approx_scores, rerank);
-
-  std::vector<int32_t> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& s : shortlist) {
-    ids.push_back(gathered[static_cast<size_t>(s.index)].index);
+  // Exact re-rank of the shortlist against the shared full-precision
+  // matrix. Both heaps break ties by lower candidate id, matching
+  // ExactIndex on ties.
+  match::TopKHeap top(k);
+  for (const auto& s : shortlist.Take()) {
+    top.Push(s.index,
+             simd::Dot(query, data_->row(static_cast<size_t>(s.index)), d));
   }
-  std::sort(ids.begin(), ids.end());
-  std::vector<double> exact_scores;
-  exact_scores.reserve(ids.size());
-  for (const int32_t id : ids) {
-    exact_scores.push_back(
-        simd::Dot(query, data_->row(static_cast<size_t>(id)), d));
-  }
-  std::vector<match::Match> top = match::TopK::Select(exact_scores, k);
-  std::vector<match::Match> out;
-  out.reserve(top.size());
-  for (const auto& t : top) {
-    out.push_back(match::Match{ids[static_cast<size_t>(t.index)], t.score});
-  }
-  return out;
+  return top.Take();
 }
 
 std::string IvfIndex::Serialize(uint32_t labels_crc) const {

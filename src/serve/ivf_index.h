@@ -99,6 +99,12 @@ class IvfSection {
 /// array) with the member payload (vectors or codes) in list order, so a
 /// probe scans one contiguous stripe of memory. All dot products route
 /// through the runtime-dispatched simd kernel layer.
+///
+/// Every selection is one streaming pass into a bounded match::TopKHeap:
+/// the nprobe cells, the k results of a flat scan, and the PQ shortlist
+/// and its exact re-rank. Nothing is gathered or sorted by id; the heap's
+/// RankBefore order already breaks ties by lower candidate id, whatever
+/// order the lists are scanned in.
 class IvfIndex : public Index {
  public:
   /// Builds the index (trains k-means + optional PQ codebooks, fills the
@@ -185,9 +191,14 @@ class IvfIndex : public Index {
   /// Trains the per-subspace codebooks and fills `codes` (n × pq_m, in
   /// candidate-id order) from the trainer's final assignments.
   void TrainPq(std::vector<uint8_t>* codes);
+  /// Exact dot of every allowed member of the `probes` cells, pushed
+  /// straight into a k-sized heap.
   std::vector<match::Match> SearchFlat(
       const float* query, size_t k, const std::vector<match::Match>& probes,
       const std::vector<char>* allowed) const;
+  /// ADC score of every allowed member of the `probes` cells into a
+  /// pq_rerank-sized heap (at least k), then the exact dots of that
+  /// shortlist into a k-sized one.
   std::vector<match::Match> SearchPq(
       const float* query, size_t k, const std::vector<match::Match>& probes,
       const std::vector<char>* allowed) const;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "match/top_k.h"
 #include "serve/mmap_snapshot.h"
 #include "util/obs/jsonlog.h"
 #include "util/string_util.h"
@@ -173,8 +174,8 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
   const double scatter_ms = stage_watch.ElapsedMillis();
 
   // Gather: map shard-local candidate ids to global ones and re-rank the
-  // union of the per-shard top-k heaps under TopK's strict total order
-  // (score desc, ties to the lower global id). Every global top-k member
+  // union of the per-shard top-k heaps under match::RankBefore (score
+  // desc, ties to the lower global id, NaN last). Every global top-k member
   // is inside its own shard's top-k, so the union always contains the
   // exact answer.
   std::vector<ScoredMatch> merged;
@@ -189,8 +190,8 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
   }
   std::sort(merged.begin(), merged.end(),
             [](const ScoredMatch& a, const ScoredMatch& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.candidate < b.candidate;
+              return match::RankBefore(a.score, a.candidate, b.score,
+                                       b.candidate);
             });
   if (merged.size() > k) merged.resize(k);
   if (timing != nullptr) {

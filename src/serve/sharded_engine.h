@@ -32,8 +32,8 @@ struct ShardedEngineOptions {
 /// candidate doc label (Sharder), each shard builds its own exact (and
 /// IVF) index over its slice, and a query is scattered to every shard on
 /// the shared ThreadPool, then the per-shard top-k heaps are merged by
-/// (score desc, global candidate id asc) — the same strict total order
-/// TopK::Select ranks by. Because the partition preserves global candidate
+/// match::RankBefore (score desc, global candidate id asc, NaN last) —
+/// the strict total order every index ranks by. Because the partition preserves global candidate
 /// order inside each shard and every global top-k member is by restriction
 /// inside its own shard's top-k, **exact-mode results are bit-identical to
 /// the unsharded engine for every shard count** (scores included; locked

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <tuple>
 
 #include "eval/kfold.h"
 #include "eval/metrics.h"
@@ -61,6 +64,55 @@ TEST(TopKTest, SelectTieBreaksByIndexUnderBoundedHeap) {
   EXPECT_EQ(boundary[1].index, 0);
 }
 
+TEST(TopKTest, NanScoresRankLastInAnyInputOrder) {
+  // A snapshot row holding ±inf normalizes to NaN, so NaN scores reach
+  // the selector. The order stays total: numbers descending (±inf
+  // included), then NaNs, every tie to the lower index.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> base = {nan, inf, 0.5, -inf, 0.5, nan, 0.25};
+  const std::vector<int32_t> ranked = {1, 2, 4, 6, 3, 0, 5};
+  auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || a == b;
+  };
+
+  std::vector<size_t> perm(base.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  do {
+    // The streaming selector sees the same (index, score) pairs in every
+    // order and must return the same ranking.
+    for (size_t k = 0; k <= base.size(); ++k) {
+      match::TopKHeap heap(k);
+      for (size_t i : perm) heap.Push(static_cast<int32_t>(i), base[i]);
+      const auto top = heap.Take();
+      ASSERT_EQ(top.size(), k);
+      for (size_t r = 0; r < k; ++r) {
+        EXPECT_EQ(top[r].index, ranked[r]) << "k=" << k << " rank " << r;
+      }
+    }
+    // Select over the permuted vector ranks by (NaN last, score desc,
+    // position).
+    std::vector<double> scores(base.size());
+    for (size_t i = 0; i < perm.size(); ++i) scores[i] = base[perm[i]];
+    std::vector<int32_t> want(scores.size());
+    for (size_t i = 0; i < want.size(); ++i) want[i] = static_cast<int32_t>(i);
+    std::sort(want.begin(), want.end(), [&](int32_t a, int32_t b) {
+      auto key = [&](int32_t i) {
+        const double s = scores[static_cast<size_t>(i)];
+        return std::make_tuple(std::isnan(s), std::isnan(s) ? 0.0 : -s, i);
+      };
+      return key(a) < key(b);
+    });
+    const auto got = match::TopK::Select(scores, scores.size());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].index, want[r]) << "rank " << r;
+      EXPECT_TRUE(same(got[r].score, scores[static_cast<size_t>(want[r])]));
+    }
+    EXPECT_EQ(match::TopK::FullRanking(scores), want);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+}
+
 TEST(TopKTest, SelectClampsK) {
   EXPECT_EQ(match::TopK::Select({0.1}, 10).size(), 1u);
   EXPECT_TRUE(match::TopK::Select({}, 5).empty());
@@ -68,8 +120,9 @@ TEST(TopKTest, SelectClampsK) {
 
 TEST(TopKTest, HeapAndPartialSortPathsAgree) {
   // Property check: for random scores with deliberate duplicates, the
-  // small-k heap path must produce exactly the ranking of a full sort
-  // under the documented order (score desc, index asc).
+  // bounded heap must produce exactly the ranking of a full sort under
+  // the documented order (score desc, index asc), from k far below n up
+  // to k = n.
   util::Rng rng(17);
   std::vector<double> scores(600);
   for (auto& s : scores) {

@@ -2,6 +2,7 @@
 // one parser under seeded mutation), the exact/IVF index pair, and the
 // batched QueryEngine.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -18,10 +19,13 @@
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "testing/mutate.h"
+#include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/json.h"
 #include "util/obs/jsonlog.h"
 #include "util/rng.h"
+#include "util/simd/kernels.h"
+#include "util/string_util.h"
 
 namespace tdmatch {
 namespace {
@@ -512,6 +516,215 @@ TEST(IvfIndexTest, TrainingIsThreadCountInvariant) {
       EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Streaming selection against the gather → sort-by-id → select reference
+// ---------------------------------------------------------------------------
+
+/// An IvfIndex's trained structure, read back from its Serialize bytes.
+struct IvfWire {
+  size_t dim = 0;
+  size_t nlist = 0;
+  size_t pq_m = 0;
+  std::vector<float> centroids;
+  std::vector<uint64_t> offsets;
+  std::vector<int32_t> ids;
+  std::vector<float> codebook;  // PQ: pq_m × 256 × dim/pq_m
+  std::vector<float> vectors;   // flat: n × dim, list order
+  std::vector<uint8_t> codes;   // PQ: n × pq_m, list order
+};
+
+IvfWire ReadIvfWire(const std::string& bytes) {
+  util::ByteCursor cur(bytes);
+  auto ok = [](const util::Status& s) { EXPECT_TRUE(s.ok()) << s.ToString(); };
+  uint32_t version = 0, crc = 0, dim = 0, pq_m = 0;
+  uint64_t n = 0, nlist = 0;
+  ok(cur.ReadU32(&version));
+  ok(cur.ReadU32(&crc));
+  ok(cur.ReadU32(&dim));
+  ok(cur.ReadU64(&n));
+  ok(cur.ReadU64(&nlist));
+  ok(cur.ReadU32(&pq_m));
+  IvfWire w;
+  w.dim = dim;
+  w.nlist = static_cast<size_t>(nlist);
+  w.pq_m = pq_m;
+  w.centroids.resize(w.nlist * w.dim);
+  ok(cur.ReadFloats(w.centroids.data(), w.centroids.size()));
+  w.offsets.resize(w.nlist + 1);
+  for (auto& off : w.offsets) ok(cur.ReadU64(&off));
+  w.ids.resize(static_cast<size_t>(n));
+  ok(cur.ReadBytes(w.ids.data(), w.ids.size() * sizeof(int32_t)));
+  if (w.pq_m > 0) {
+    w.codebook.resize(256 * w.dim);
+    ok(cur.ReadFloats(w.codebook.data(), w.codebook.size()));
+    w.codes.resize(static_cast<size_t>(n) * w.pq_m);
+    ok(cur.ReadBytes(w.codes.data(), w.codes.size()));
+  } else {
+    w.vectors.resize(static_cast<size_t>(n) * w.dim);
+    ok(cur.ReadFloats(w.vectors.data(), w.vectors.size()));
+  }
+  EXPECT_EQ(cur.Remaining(), 0u);
+  return w;
+}
+
+/// TopK::Select as it was before the streaming selector: a partial sort
+/// by (score desc, lower position).
+std::vector<match::Match> GatherSelect(const std::vector<double>& scores,
+                                       size_t k) {
+  std::vector<int32_t> idx(scores.size());
+  for (size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int32_t>(i);
+  k = std::min(k, idx.size());
+  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
+                    idx.end(), [&](int32_t a, int32_t b) {
+                      const double sa = scores[static_cast<size_t>(a)];
+                      const double sb = scores[static_cast<size_t>(b)];
+                      if (sa != sb) return sa > sb;
+                      return a < b;
+                    });
+  std::vector<match::Match> out;
+  for (size_t i = 0; i < k; ++i) {
+    out.push_back(match::Match{idx[i], scores[static_cast<size_t>(idx[i])]});
+  }
+  return out;
+}
+
+/// Selects the k best of `gathered` after sorting it by candidate id, so
+/// the position tie-break of GatherSelect is the id order.
+std::vector<match::Match> SortByIdThenSelect(
+    std::vector<match::Match> gathered, size_t k) {
+  std::sort(gathered.begin(), gathered.end(),
+            [](const match::Match& a, const match::Match& b) {
+              return a.index < b.index;
+            });
+  std::vector<double> scores;
+  for (const auto& g : gathered) scores.push_back(g.score);
+  std::vector<match::Match> out;
+  for (const auto& m : GatherSelect(scores, k)) {
+    out.push_back(
+        match::Match{gathered[static_cast<size_t>(m.index)].index, m.score});
+  }
+  return out;
+}
+
+/// IvfIndex::SearchWithNprobe the gather way: score the probed members
+/// into one vector, sort it by id, select (PQ: select a shortlist, sort
+/// its ids, select again over the exact dots).
+std::vector<match::Match> GatherSortSelectSearch(
+    const IvfWire& w, const serve::VectorMatrix& matrix, const float* query,
+    size_t k, size_t nprobe, size_t pq_rerank,
+    const std::vector<char>* allowed) {
+  const size_t d = w.dim;
+  nprobe = std::max<size_t>(1, std::min(nprobe, w.nlist));
+  std::vector<double> cell_scores(w.nlist);
+  for (size_t c = 0; c < w.nlist; ++c) {
+    cell_scores[c] = simd::Dot(query, w.centroids.data() + c * d, d);
+  }
+  const size_t m = w.pq_m;
+  std::vector<float> table(m * 256);
+  for (size_t s = 0; s < m; ++s) {
+    for (size_t j = 0; j < 256; ++j) {
+      table[s * 256 + j] =
+          simd::Dot(query + s * (d / m),
+                    w.codebook.data() + (s * 256 + j) * (d / m), d / m);
+    }
+  }
+  std::vector<match::Match> gathered;
+  for (const auto& probe : GatherSelect(cell_scores, nprobe)) {
+    const size_t c = static_cast<size_t>(probe.index);
+    const size_t begin = w.offsets[c];
+    const size_t count = w.offsets[c + 1] - begin;
+    std::vector<float> approx(count);
+    if (m > 0 && count > 0) {
+      simd::AdcScan(w.codes.data() + begin * m, count, m, table.data(),
+                    approx.data());
+    }
+    for (size_t j = 0; j < count; ++j) {
+      const size_t pos = begin + j;
+      const int32_t id = w.ids[pos];
+      if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
+        continue;
+      }
+      const float score =
+          m > 0 ? approx[j] : simd::Dot(query, w.vectors.data() + pos * d, d);
+      gathered.push_back(match::Match{id, score});
+    }
+  }
+  if (m == 0) return SortByIdThenSelect(std::move(gathered), k);
+
+  std::vector<match::Match> exact;
+  for (const auto& s :
+       SortByIdThenSelect(std::move(gathered), std::max(pq_rerank, k))) {
+    exact.push_back(match::Match{
+        s.index, matrix.Dot(query, static_cast<size_t>(s.index))});
+  }
+  return SortByIdThenSelect(std::move(exact), k);
+}
+
+TEST(IvfIndexTest, StreamingSelectMatchesGatherSortSelect) {
+  const int dim = 16;
+  const size_t n = 300;
+  auto vecs = ClusteredVectors(n, dim, 12, 2024);
+  for (size_t i = 0; i < 40; ++i) vecs[150 + i] = vecs[i];  // forced ties
+  vecs[n - 1].assign(static_cast<size_t>(dim), 0.0f);       // all-zero row
+  auto matrix = MatrixOf(vecs, dim);
+
+  std::vector<std::vector<float>> queries = {vecs[3], vecs[153], vecs[n - 1],
+                                             vecs[77]};
+  util::Rng rng(9);
+  for (int q = 0; q < 6; ++q) {
+    auto v = vecs[rng.UniformInt(n)];
+    for (auto& x : v) x += 0.2f * static_cast<float>(rng.Gaussian());
+    queries.push_back(v);
+  }
+  for (auto& q : queries) serve::NormalizeSlice(q.data(), dim);
+  std::vector<char> allowed(n);
+  for (size_t i = 0; i < n; ++i) allowed[i] = i % 3 != 1;
+
+  struct Variant {
+    size_t pq_m;
+    size_t pq_rerank;  // 1 = at least k, i.e. exactly k
+  };
+  size_t ties = 0;
+  for (const Variant v : {Variant{0, 64}, Variant{4, 1}, Variant{4, 64},
+                          Variant{4, n}}) {
+    serve::IvfOptions opts;
+    opts.nlist = 16;
+    opts.seed = 3;
+    opts.pq_m = v.pq_m;
+    opts.pq_rerank = v.pq_rerank;
+    serve::IvfIndex ivf(matrix, opts);
+    const IvfWire wire = ReadIvfWire(ivf.Serialize(0));
+    ASSERT_EQ(wire.nlist, 16u);
+    for (const size_t nprobe : {size_t{1}, size_t{8}, ivf.nlist()}) {
+      for (const size_t k : {size_t{1}, size_t{5}, size_t{100}, n + 100}) {
+        for (const std::vector<char>* mask :
+             {static_cast<const std::vector<char>*>(nullptr),
+              static_cast<const std::vector<char>*>(&allowed)}) {
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const float* query = queries[q].data();
+            const auto want = GatherSortSelectSearch(
+                wire, *matrix, query, k, nprobe, v.pq_rerank, mask);
+            const auto got = ivf.SearchWithNprobe(query, k, nprobe, mask);
+            const std::string where = util::StrFormat(
+                "pq_m=%zu rerank=%zu nprobe=%zu k=%zu filtered=%d query=%zu",
+                v.pq_m, v.pq_rerank, nprobe, k, mask != nullptr ? 1 : 0, q);
+            ASSERT_EQ(got.size(), want.size()) << where;
+            for (size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ(got[i].index, want[i].index) << where << " rank " << i;
+              EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score,
+                                    sizeof(double)),
+                        0)
+                  << where << " rank " << i;
+              if (i > 0 && want[i].score == want[i - 1].score) ++ties;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);  // the duplicated rows did force tie-breaks
 }
 
 // ---------------------------------------------------------------------------

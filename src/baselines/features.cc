@@ -10,19 +10,6 @@
 namespace tdmatch {
 namespace baselines {
 
-namespace {
-
-uint64_t FnvHash(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char ch : s) {
-    h ^= static_cast<uint8_t>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 PairFeatures::DocCache PairFeatures::BuildCache(
     const std::string& text) const {
   DocCache c;
@@ -43,7 +30,7 @@ PairFeatures::DocCache PairFeatures::BuildCache(
     const size_t upto = limit == 0 ? tokens.size()
                                    : std::min(limit, tokens.size());
     for (size_t i = 0; i < upto; ++i) {
-      bow[FnvHash(tokens[i]) % kHashBowDim] += 1.0;
+      bow[util::FnvHash(tokens[i]) % kHashBowDim] += 1.0;
     }
     double norm = 0.0;
     for (double v : bow) norm += v * v;

@@ -9,17 +9,6 @@
 namespace tdmatch {
 namespace baselines {
 
-namespace {
-uint64_t Fnv(const std::string& s, uint64_t seed) {
-  uint64_t h = seed ^ 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-}  // namespace
-
 LBertProxy::LBertProxy() : LBertProxy(Options{}) {}
 
 LBertProxy::LBertProxy(Options options) : options_(options) {}
@@ -27,13 +16,14 @@ LBertProxy::LBertProxy(Options options) : options_(options) {}
 std::vector<double> LBertProxy::Featurize(const std::string& text) const {
   std::vector<double> v(static_cast<size_t>(options_.feature_dim), 0.0);
   for (const auto& tok : tokenizer_.Tokenize(text)) {
-    uint64_t h = Fnv(tok, options_.hash_seed);
+    uint64_t h = util::FnvHash(tok, options_.hash_seed);
     v[static_cast<size_t>(
         h % static_cast<uint64_t>(options_.feature_dim))] += 1.0;
     // Subword (char 3-gram) features give some OOV generalization.
     std::string padded = "^" + tok + "$";
     for (size_t i = 0; i + 3 <= padded.size(); ++i) {
-      uint64_t ch = Fnv(padded.substr(i, 3), options_.hash_seed ^ 0x3);
+      uint64_t ch =
+          util::FnvHash(padded.substr(i, 3), options_.hash_seed ^ 0x3);
       v[static_cast<size_t>(
           ch % static_cast<uint64_t>(options_.feature_dim))] += 0.3;
     }

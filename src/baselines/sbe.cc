@@ -9,17 +9,6 @@
 namespace tdmatch {
 namespace baselines {
 
-namespace {
-uint64_t Fnv(const std::string& s, uint64_t seed) {
-  uint64_t h = seed ^ 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-}  // namespace
-
 HashSentenceEncoder::HashSentenceEncoder()
     : HashSentenceEncoder(Options{}) {}
 
@@ -34,7 +23,7 @@ std::vector<float> HashSentenceEncoder::Encode(const std::string& text) const {
     double w = tfidf_.num_docs() > 0 ? tfidf_.Idf(tok) : 1.0;
     if (w > options_.max_token_weight) w = options_.max_token_weight;
     // Word component.
-    uint64_t h = Fnv(tok, options_.hash_seed);
+    uint64_t h = util::FnvHash(tok, options_.hash_seed);
     const float sign = (h >> 32) & 1 ? 1.0f : -1.0f;
     v[static_cast<size_t>(h % static_cast<uint64_t>(dim))] +=
         static_cast<float>((1.0 - options_.char_weight) * w) * sign;
@@ -42,7 +31,8 @@ std::vector<float> HashSentenceEncoder::Encode(const std::string& text) const {
     std::string padded = "^" + tok + "$";
     const size_t n_grams = padded.size() >= 3 ? padded.size() - 2 : 0;
     for (size_t i = 0; i + 3 <= padded.size(); ++i) {
-      uint64_t ch = Fnv(padded.substr(i, 3), options_.hash_seed ^ 0x77);
+      uint64_t ch =
+          util::FnvHash(padded.substr(i, 3), options_.hash_seed ^ 0x77);
       const float csign = (ch >> 32) & 1 ? 1.0f : -1.0f;
       v[static_cast<size_t>(ch % static_cast<uint64_t>(dim))] +=
           static_cast<float>(options_.char_weight * w /

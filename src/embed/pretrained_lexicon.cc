@@ -32,16 +32,6 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-uint64_t HashNGram(const std::string& word, size_t pos, size_t n,
-                   uint64_t seed) {
-  uint64_t h = seed ^ 1469598103934665603ULL;
-  for (size_t i = pos; i < pos + n; ++i) {
-    h ^= static_cast<uint8_t>(word[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 PretrainedLexicon::PretrainedLexicon() : PretrainedLexicon(Options{}) {}
@@ -77,7 +67,8 @@ std::vector<float> PretrainedLexicon::CharVector(
   for (size_t n = 2; n <= 3; ++n) {
     if (padded.size() < n) continue;
     for (size_t i = 0; i + n <= padded.size(); ++i) {
-      uint64_t h = HashNGram(padded, i, n, options_.hash_seed);
+      uint64_t h = util::FnvHash(std::string_view(padded).substr(i, n),
+                                 options_.hash_seed);
       const size_t d = static_cast<size_t>(h % static_cast<uint64_t>(dim));
       const float sign = (h >> 32) & 1 ? 1.0f : -1.0f;
       v[d] += sign;

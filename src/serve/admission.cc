@@ -1,5 +1,7 @@
 #include "serve/admission.h"
 
+#include <algorithm>
+
 namespace tdmatch {
 namespace serve {
 
@@ -27,33 +29,26 @@ int AdmissionController::RetryAfterSeconds(double typical_ms) const {
       static_cast<double>(inflight_.load(std::memory_order_relaxed));
   const double per_query_ms = typical_ms > 0.0 ? typical_ms : 1.0;
   const double seconds = backlog * per_query_ms / 1000.0;
-  int s = static_cast<int>(seconds) + 1;  // round up, never 0
-  if (s < options_.min_retry_after_s) s = options_.min_retry_after_s;
-  if (s > options_.max_retry_after_s) s = options_.max_retry_after_s;
-  return s;
+  const int s = static_cast<int>(seconds) + 1;  // round up, never 0
+  return std::min(std::max(s, options_.min_retry_after_s),
+                  options_.max_retry_after_s);
 }
 
 NprobeTuner::NprobeTuner(NprobeTunerOptions options) : options_(options) {
-  if (options_.min_nprobe < 1) options_.min_nprobe = 1;
-  if (options_.max_nprobe < options_.min_nprobe) {
-    options_.max_nprobe = options_.min_nprobe;
-  }
-  size_t start = options_.initial_nprobe;
-  if (start < options_.min_nprobe) start = options_.min_nprobe;
-  if (start > options_.max_nprobe) start = options_.max_nprobe;
-  nprobe_.store(start, std::memory_order_relaxed);
-  if (options_.window == 0) options_.window = 1;
+  options_.min_nprobe = std::max<size_t>(1, options_.min_nprobe);
+  options_.max_nprobe = std::max(options_.max_nprobe, options_.min_nprobe);
+  nprobe_.store(std::clamp(options_.initial_nprobe, options_.min_nprobe,
+                           options_.max_nprobe),
+                std::memory_order_relaxed);
 }
 
-void NprobeTuner::Observe(double p99_ms) {
+void NprobeTuner::Decide(double p99_ms) {
   if (!enabled()) return;
-  const uint64_t n = observed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % options_.window != 0) return;
+  decisions_.fetch_add(1, std::memory_order_relaxed);
   const size_t cur = nprobe_.load(std::memory_order_relaxed);
   size_t next = cur;
   if (p99_ms > options_.budget_ms) {
-    next = cur / 2;  // multiplicative decrease
-    if (next < options_.min_nprobe) next = options_.min_nprobe;
+    next = std::max(cur / 2, options_.min_nprobe);  // multiplicative decrease
   } else if (p99_ms <= options_.budget_ms * 0.5 &&
              cur < options_.max_nprobe) {
     next = cur + 1;  // additive increase
@@ -62,6 +57,21 @@ void NprobeTuner::Observe(double p99_ms) {
     nprobe_.store(next, std::memory_order_relaxed);
     adjustments_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void NprobeTuner::Step(double now, const util::obs::WindowedCounts& latency,
+                       const std::vector<double>& bounds) {
+  if (!enabled()) return;
+  const int64_t epoch = latency.Epoch(now);
+  int64_t decided = decided_epoch_.load(std::memory_order_relaxed);
+  if (epoch <= decided ||
+      !decided_epoch_.compare_exchange_strong(decided, epoch,
+                                              std::memory_order_relaxed)) {
+    return;
+  }
+  const double p99 = util::obs::BucketPercentile(
+      bounds, latency.Sum(epoch - 1, epoch - 1).data(), 0.99);
+  if (p99 > 0) Decide(p99);  // 0 only for an empty bucket: hold
 }
 
 }  // namespace serve

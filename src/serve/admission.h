@@ -5,6 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
+
+#include "util/obs/metrics.h"
 
 namespace tdmatch {
 namespace serve {
@@ -94,21 +97,15 @@ struct NprobeTunerOptions {
   /// Ceiling — the serving layer passes the largest shard nlist.
   size_t max_nprobe = 64;
   size_t initial_nprobe = 4;
-  /// Observations between adjustments. One window must contain enough
-  /// queries for the histogram p99 to move before the next decision.
-  uint64_t window = 64;
 };
 
 /// \brief AIMD auto-tuner for the IVF nprobe knob against a p99 budget.
 ///
-/// The serving loop feeds each query's current p99 of the service's
-/// request-latency histogram (obs::Histogram::Percentile(0.99) on
-/// `tdmatch_request_latency_ms`); once per window the tuner
-/// reacts: over budget ⇒ halve nprobe (fast multiplicative backoff —
-/// latency is what pages people), under half the budget ⇒ +1 (slow
-/// additive recovery of recall headroom). In between it holds. The current
-/// value is a relaxed atomic the query path reads per request; no locks
-/// anywhere.
+/// A decision on one p99: over budget ⇒ halve nprobe (latency is what
+/// pages people), under half the budget ⇒ +1 (slow recovery of recall),
+/// else hold. Step decides once per bucket of the recent-latency ring on
+/// the last complete one, so each decision sees only queries run under
+/// the previous one's nprobe. Lock-free: nprobe is a relaxed atomic.
 class NprobeTuner {
  public:
   explicit NprobeTuner(NprobeTunerOptions options = {});
@@ -118,23 +115,26 @@ class NprobeTuner {
   /// The nprobe the next query should use.
   size_t nprobe() const { return nprobe_.load(std::memory_order_relaxed); }
 
-  /// Feed the current p99 estimate; at window boundaries this adjusts
-  /// nprobe. Safe from concurrent threads (a race can at worst run two
-  /// adjustments on one window — both read consistent atomics).
-  void Observe(double p99_ms);
+  void Decide(double p99_ms);
 
-  uint64_t observed() const {
-    return observed_.load(std::memory_order_relaxed);
+  /// Run after every executed query: the first call in a newer bucket of
+  /// `latency` (counters [0, bounds.size()] a histogram over `bounds`)
+  /// decides on the previous bucket's p99, or holds if it is empty.
+  void Step(double now, const util::obs::WindowedCounts& latency,
+            const std::vector<double>& bounds);
+
+  uint64_t decisions() const {
+    return decisions_.load(std::memory_order_relaxed);
   }
   uint64_t adjustments() const {
     return adjustments_.load(std::memory_order_relaxed);
   }
-  const NprobeTunerOptions& options() const { return options_; }
 
  private:
   NprobeTunerOptions options_;
   std::atomic<size_t> nprobe_{1};
-  std::atomic<uint64_t> observed_{0};
+  std::atomic<int64_t> decided_epoch_{-1};
+  std::atomic<uint64_t> decisions_{0};
   std::atomic<uint64_t> adjustments_{0};
 };
 

@@ -313,7 +313,7 @@ MatchService::MatchService(ServiceOptions options)
       start_time_(std::chrono::steady_clock::now()),
       sampler_(options_.trace_sample),
       admission_(AdmissionOptions{options_.max_inflight, 1, 30}),
-      cache_(ResultCacheOptions{options_.cache_entries, 8}) {
+      cache_(ResultCacheOptions{options_.cache_entries}) {
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
   } else {
@@ -472,11 +472,11 @@ MatchService::MatchService(ServiceOptions options)
   slo_opts.latency_budget_ms = options_.latency_budget_ms;
   slo_opts.fast = options_.slo_fast;
   slo_opts.slow = options_.slo_slow;
-  // Resolution fine enough that the fast-short window spans several
-  // buckets (tests shrink the window to fractions of a second).
-  slo_opts.bucket_seconds =
-      std::min(5.0, std::max(0.05, options_.slo_fast.short_seconds / 4.0));
   slo_ = std::make_unique<util::obs::SloTracker>(slo_opts);
+  recent_queries_ = latency_->bounds().size() + 1;
+  recent_ = std::make_unique<util::obs::WindowedCounts>(
+      recent_queries_ + 1, slo_->bucket_seconds(),
+      options_.slo_fast.short_seconds);
 
   registry_->RegisterCallback(
       MetricType::kGauge, "tdmatch_history_series",
@@ -644,10 +644,12 @@ void MatchService::Register(HttpServer* server) {
 }
 
 HttpResponse MatchService::ShedResponse() {
-  // Retry-After scales with the backlog at a typical (p50) per-query
-  // cost; the header is always an integer in [1, 30] seconds.
-  const int retry_s =
-      admission_.RetryAfterSeconds(latency_->Percentile(0.5));
+  // Retry-After scales with the backlog at a typical (recent p50)
+  // per-query cost; the header is always an integer in [1, 30] seconds.
+  const int retry_s = admission_.RetryAfterSeconds(util::obs::BucketPercentile(
+      latency_->bounds(),
+      recent_->Window(NowSeconds(), options_.slo_fast.short_seconds).data(),
+      0.5));
   util::JsonWriter w;
   w.BeginObject()
       .Key("error").Value(util::StrFormat(
@@ -758,7 +760,7 @@ HttpResponse MatchService::AnswerQuery(std::string_view body,
   parse_span.Close();
 
   // Result cache (unfiltered single-label queries; the hot-query shape).
-  // A hit is served before admission: it costs one striped-map lookup, no
+  // A hit is served before admission: it costs one map lookup, no
   // engine work, so shedding it would protect nothing.
   std::string cache_key;
   if (cache_.enabled() && query.shape == QueryRequest::Shape::kLabel &&
@@ -770,8 +772,10 @@ HttpResponse MatchService::AnswerQuery(std::string_view body,
                                 nprobe);
     std::string cached;
     if (cache_.Get(cache_key, state.version, &cached)) {
+      const double now = NowSeconds();
       queries_->Inc();
-      latency_->Observe(watch.ElapsedMillis());
+      recent_->Add(now, recent_queries_);
+      recent_->Add(now, latency_->Observe(watch.ElapsedMillis()));
       return HttpResponse::Json(200, std::move(cached));
     }
   }
@@ -789,7 +793,9 @@ HttpResponse MatchService::AnswerQuery(std::string_view body,
   }
 
   const QueryResults results = Execute(engine, query, nprobe, trace);
+  const double now = NowSeconds();
   queries_->Inc(results.size());
+  recent_->Add(now, recent_queries_, results.size());
   const auto failed = static_cast<uint64_t>(
       std::count_if(results.begin(), results.end(),
                     [](const auto& result) { return !result.ok(); }));
@@ -801,11 +807,8 @@ HttpResponse MatchService::AnswerQuery(std::string_view body,
   }
   std::string rendered = Render(state, query, results, trace);
   if (!cache_key.empty()) cache_.Put(cache_key, state.version, rendered);
-  latency_->Observe(watch.ElapsedMillis());
-  // Feed the tuner after recording: it reacts to the p99 including this
-  // query. Cache hits and shed requests never reach here — the tuner only
-  // learns from queries the engine actually executed.
-  if (tuner_ != nullptr) tuner_->Observe(latency_->Percentile(0.99));
+  recent_->Add(now, latency_->Observe(watch.ElapsedMillis()));
+  if (tuner_ != nullptr) tuner_->Step(now, *recent_, latency_->bounds());
   return HttpResponse::Json(200, std::move(rendered));
 }
 
@@ -995,7 +998,13 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
           .count();
-  const uint64_t queries = queries_->Value();
+  // qps over the fast-short window, whose buckets cover [start, now] (or
+  // only the uptime of a younger service).
+  const double now = NowSeconds(), window = options_.slo_fast.short_seconds;
+  const double covered = std::min(
+      uptime, now - recent_->bucket_seconds() *
+                        static_cast<double>(recent_->Epoch(now - window)));
+  const uint64_t recent_queries = recent_->Window(now, window)[recent_queries_];
   const uint64_t cache_hits = cache_.hits();
   const uint64_t cache_lookups = cache_hits + cache_.misses();
   util::JsonWriter w;
@@ -1010,11 +1019,11 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       .Key("dim").Value(static_cast<int64_t>(engine.dim()))
       .Key("index").Value(engine.has_ivf() ? "ivf+exact" : "exact")
       .Key("uptime_seconds").Value(uptime)
-      .Key("queries").Value(queries)
+      .Key("queries").Value(queries_->Value())
       .Key("errors").Value(errors_->Value())
       .Key("reloads").Value(reloads_->Value())
-      .Key("qps").Value(uptime > 0
-                            ? static_cast<double>(queries) / uptime
+      .Key("qps").Value(covered > 0
+                            ? static_cast<double>(recent_queries) / covered
                             : 0.0)
       .Key("latency_ms").BeginObject()
       .Key("count").Value(latency_->count())

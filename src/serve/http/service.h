@@ -65,7 +65,7 @@ struct ServiceOptions {
   /// get 429 + Retry-After. SIZE_MAX never sheds; 0 sheds everything.
   size_t max_inflight = std::numeric_limits<size_t>::max();
   /// p99 latency budget (ms) the nprobe auto-tuner steers approx queries
-  /// toward; <= 0 disables tuning.
+  /// toward, deciding once per SLO ring bucket; <= 0 disables tuning.
   double latency_budget_ms = 0.0;
   /// LRU result-cache capacity in responses; 0 disables the cache.
   size_t cache_entries = 0;
@@ -110,6 +110,7 @@ struct ServiceOptions {
   /// budget doubles as the objective threshold).
   double slo_latency_target = 0.999;
   /// Fast pair drives /v1/healthz "degraded"; slow pair is report-only.
+  /// Retry-After and /v1/stats qps read the fast-short window.
   util::obs::SloWindowPair slo_fast{60.0, 600.0, 14.4};
   util::obs::SloWindowPair slo_slow{300.0, 3600.0, 6.0};
 };
@@ -150,7 +151,8 @@ util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
 ///                     only — a blocking filter {"allowed": [...]}
 ///                     mirroring QueryEngine::QueryFiltered.
 ///   GET  /v1/healthz  liveness + current snapshot version
-///   GET  /v1/stats    counters, qps, latency percentiles, snapshot id
+///   GET  /v1/stats    counters, lifetime latency percentiles, snapshot
+///                     id, and qps over the fast-short SLO window
 ///   GET  /v1/metrics  Prometheus text exposition of the same registry
 ///   POST /v1/reload   atomically swap in a new snapshot (optional
 ///                     {"snapshot": path}; defaults to re-reading the
@@ -167,7 +169,8 @@ util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
 ///
 /// Every service counter lives in an obs::Registry (striped counters,
 /// one relaxed atomic bump on the hot path); /v1/stats and /v1/metrics
-/// are two renderings of the same data. A request that wins the trace
+/// are two renderings of the same data; Retry-After, /v1/stats qps and
+/// the nprobe tuner read recent_ instead. A request that wins the trace
 /// sample (or any request when --slow-query-ms is set) carries an
 /// obs::Trace whose spans — parse, cache, admission, scatter, merge,
 /// serialize, each stage at most once — aggregate into per-stage
@@ -294,6 +297,10 @@ class MatchService {
   std::unique_ptr<util::obs::TimeSeriesStore> history_;
   std::unique_ptr<util::obs::TimeSeriesSampler> history_sampler_;
   std::unique_ptr<util::obs::SloTracker> slo_;
+  /// Answered queries over the fast-short window on the SLO's grid:
+  /// latency_'s buckets, then the query count (counter recent_queries_).
+  std::unique_ptr<util::obs::WindowedCounts> recent_;
+  size_t recent_queries_ = 0;
 };
 
 }  // namespace http

@@ -1,49 +1,30 @@
 #include "serve/result_cache.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "serve/sharder.h"
 
 namespace tdmatch {
 namespace serve {
 
-ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
-  if (!enabled()) return;
-  size_t stripes = std::max<size_t>(1, options_.stripes);
-  // No point striping wider than one entry per stripe.
-  stripes = std::min(stripes, options_.capacity);
-  options_.stripes = stripes;
-  stripe_capacity_ = std::max<size_t>(1, options_.capacity / stripes);
-  stripes_.reserve(stripes);
-  for (size_t i = 0; i < stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
-
-ResultCache::Stripe& ResultCache::StripeFor(const std::string& key) {
-  return *stripes_[Sharder::Hash64(key) % stripes_.size()];
-}
+ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {}
 
 bool ResultCache::Get(const std::string& key, uint64_t version,
                       std::string* body) {
   if (!enabled()) return false;
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.index.find(key);
-  if (it == stripe.index.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   if (it->second->version != version) {
     // Stale epoch: a reload happened between Put and this Get. Drop the
-    // entry so the stripe never fills with unservable bodies.
-    stripe.lru.erase(it->second);
-    stripe.index.erase(it);
+    // entry so the cache never fills with unservable bodies.
+    lru_.erase(it->second);
+    index_.erase(it);
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   *body = it->second->body;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -52,39 +33,32 @@ bool ResultCache::Get(const std::string& key, uint64_t version,
 void ResultCache::Put(const std::string& key, uint64_t version,
                       std::string body) {
   if (!enabled()) return;
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.index.find(key);
-  if (it != stripe.index.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->version = version;
     it->second->body = std::move(body);
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  stripe.lru.push_front(Entry{key, version, std::move(body)});
-  stripe.index.emplace(key, stripe.lru.begin());
-  while (stripe.lru.size() > stripe_capacity_) {
-    stripe.index.erase(stripe.lru.back().key);
-    stripe.lru.pop_back();
+  lru_.push_front(Entry{key, version, std::move(body)});
+  index_.emplace(key, lru_.begin());
+  while (lru_.size() > options_.capacity) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void ResultCache::Clear() {
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    stripe->lru.clear();
-    stripe->index.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  index_.clear();
 }
 
 size_t ResultCache::size() const {
-  size_t total = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    total += stripe->lru.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
 }
 
 }  // namespace serve

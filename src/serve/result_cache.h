@@ -5,26 +5,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace tdmatch {
 namespace serve {
 
 struct ResultCacheOptions {
-  /// Total cached responses across all stripes; 0 disables the cache
-  /// entirely (Get always misses, Put is a no-op).
+  /// Cached responses; 0 disables the cache entirely (Get always misses,
+  /// Put is a no-op).
   size_t capacity = 0;
-  /// Lock stripes. Keys hash to a stripe; each stripe is an independent
-  /// mutex + LRU list, so hot-query lookups from N server workers contend
-  /// 1/stripes as often as a single-lock cache.
-  size_t stripes = 8;
 };
 
-/// \brief Striped LRU cache of rendered query responses for hot queries.
+/// \brief LRU cache of rendered query responses for hot queries: one
+/// list under one mutex, evicting the least recently used entry once
+/// `capacity` entries are held.
 ///
 /// Keyed by the full query identity (resolved label + k + mode + effective
 /// nprobe — the serving layer builds the key) and stamped with the
@@ -44,7 +40,7 @@ class ResultCache {
   bool Get(const std::string& key, uint64_t version, std::string* body);
 
   /// Inserts (or refreshes) `key` → `body` stamped with `version`,
-  /// evicting the stripe's least-recently-used entries past capacity.
+  /// evicting the least-recently-used entry past capacity.
   void Put(const std::string& key, uint64_t version, std::string body);
 
   /// Drops every entry (snapshot swap invalidation).
@@ -55,9 +51,8 @@ class ResultCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Entries currently cached (sums the stripes; O(stripes)).
+  /// Entries currently cached.
   size_t size() const;
-  const ResultCacheOptions& options() const { return options_; }
 
  private:
   struct Entry {
@@ -65,19 +60,12 @@ class ResultCache {
     uint64_t version;
     std::string body;
   };
-  struct Stripe {
-    std::mutex mu;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-  };
-
-  Stripe& StripeFor(const std::string& key);
 
   ResultCacheOptions options_;
-  /// Per-stripe entry budget (capacity distributed evenly, min 1).
-  size_t stripe_capacity_ = 0;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  mutable std::mutex mu_;
+  /// Front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

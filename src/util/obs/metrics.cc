@@ -81,48 +81,48 @@ size_t Counter::StripeIndex() {
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+  // make_unique<T[]> value-initializes: every bucket starts at zero.
   buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
-void Histogram::Observe(double v) {
-  const size_t idx = static_cast<size_t>(
+size_t Histogram::Observe(double v) {
+  const auto bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
+  return bucket;
 }
 
 double Histogram::Percentile(double p) const {
-  const uint64_t total = count_.load(std::memory_order_relaxed);
-  if (total == 0 || bounds_.empty()) return 0.0;
+  std::vector<uint64_t> counts(bounds_.size() + 1);
+  for (size_t i = 0; i < counts.size(); ++i) counts[i] = BucketCount(i);
+  return BucketPercentile(bounds_, counts.data(), p);
+}
+
+double BucketPercentile(const std::vector<double>& bounds,
+                        const uint64_t* counts, double p) {
+  uint64_t total = 0;
+  for (size_t i = 0; i <= bounds.size(); ++i) total += counts[i];
+  if (total == 0 || bounds.empty()) return 0.0;
   p = std::min(1.0, std::max(0.0, p));
   const uint64_t rank = std::max<uint64_t>(
       1, static_cast<uint64_t>(std::ceil(p * static_cast<double>(total))));
   uint64_t cum = 0;
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    const uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (cum + in_bucket < rank) {
-      cum += in_bucket;
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    if (cum + counts[i] < rank) {
+      cum += counts[i];
       continue;
     }
-    if (i == bounds_.size()) {
-      // Overflow bucket: no finite upper bound to interpolate toward;
-      // clamp to the last finite boundary (documented underestimate).
-      return bounds_.back();
-    }
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    const double hi = bounds_[i];
+    const double lo = i == 0 ? 0.0 : bounds[i - 1];
     const double frac = static_cast<double>(rank - cum) /
-                        static_cast<double>(in_bucket);
-    return lo + frac * (hi - lo);
+                        static_cast<double>(counts[i]);
+    return lo + frac * (bounds[i] - lo);
   }
-  return bounds_.back();
+  return bounds.back();  // overflow: clamp to the last finite bound
 }
 
 std::vector<double> Histogram::LatencyBoundsMs() {
@@ -132,6 +132,63 @@ std::vector<double> Histogram::LatencyBoundsMs() {
     bounds.push_back(static_cast<double>(uint64_t{1} << i) / 1000.0);
   }
   return bounds;
+}
+
+// ---------------------------------------------------------------------------
+// WindowedCounts
+// ---------------------------------------------------------------------------
+
+// A window of w seconds touches up to ceil(w / bucket) + 1 epochs. The
+// words start at zero: epoch 0, no tally.
+WindowedCounts::WindowedCounts(size_t counters, double bucket_seconds,
+                               double span_seconds)
+    : counters_(counters),
+      bucket_seconds_(bucket_seconds > 0 ? bucket_seconds : 1.0),
+      buckets_(static_cast<size_t>(std::ceil(std::max(0.0, span_seconds) /
+                                             bucket_seconds_)) +
+               1),
+      words_(std::make_unique<std::atomic<uint64_t>[]>(buckets_ *
+                                                       counters_)) {}
+
+int64_t WindowedCounts::Epoch(double now) const {
+  return static_cast<int64_t>(std::floor(now / bucket_seconds_));
+}
+
+void WindowedCounts::Add(double now, size_t counter, uint64_t n) {
+  const int64_t epoch = Epoch(now);
+  if (epoch < 0 || n == 0) return;
+  const auto tag = static_cast<uint32_t>(epoch);
+  std::atomic<uint64_t>& word =
+      words_[static_cast<size_t>(epoch) % buckets_ * counters_ + counter];
+  uint64_t cur = word.load(std::memory_order_relaxed);
+  uint64_t next = 0;
+  do {
+    const auto seen = static_cast<uint32_t>(cur >> 32);
+    uint64_t count = cur & kCountMask;
+    if (seen != tag) {
+      // A word with a tally from a newer epoch is a revolution ahead of
+      // this add; a word with none (never touched) is free.
+      if (count != 0 && static_cast<int32_t>(tag - seen) < 0) return;
+      count = 0;
+    }
+    next = (uint64_t{tag} << 32) | (count + std::min(n, kCountMask - count));
+  } while (!word.compare_exchange_weak(cur, next,
+                                       std::memory_order_relaxed));
+}
+
+std::vector<uint64_t> WindowedCounts::Sum(int64_t first, int64_t last) const {
+  std::vector<uint64_t> sums(counters_, 0);
+  first = std::max({first, int64_t{0},
+                    last - static_cast<int64_t>(buckets_) + 1});
+  for (int64_t e = first; e <= last; ++e) {
+    const std::atomic<uint64_t>* row =
+        &words_[static_cast<size_t>(e) % buckets_ * counters_];
+    for (size_t c = 0; c < counters_; ++c) {
+      const uint64_t word = row[c].load(std::memory_order_relaxed);
+      if (word >> 32 == static_cast<uint32_t>(e)) sums[c] += word & kCountMask;
+    }
+  }
+  return sums;
 }
 
 // ---------------------------------------------------------------------------

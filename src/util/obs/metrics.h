@@ -70,24 +70,27 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Interpolated p-quantile (p in [0,1]) of bounds.size() + 1 bucket
+/// counts (the last one overflow): linear inside the bucket holding the
+/// p-rank, the last bound for overflow, 0 when empty.
+double BucketPercentile(const std::vector<double>& bounds,
+                        const uint64_t* counts, double p);
+
 /// \brief Fixed-bound histogram with atomic per-bucket counters and an
-/// interpolating percentile estimator.
+/// interpolating percentile estimator (BucketPercentile).
 ///
 /// Buckets are defined by ascending upper bounds; observations beyond the
-/// last bound land in an overflow bucket. Percentile(p) finds the bucket
-/// holding the p-rank and interpolates linearly inside it (the bucket is
-/// assumed uniform), so the estimate always lies within the true
-/// quantile's bucket — a strict improvement over the old LatencyHistogram
-/// which returned the bucket's upper bound. Overflow-bucket percentiles
-/// clamp to the last finite bound.
+/// last bound land in an overflow bucket.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
-  void Observe(double v);
+  /// Returns the bucket `v` landed in: the first bound >= v, or
+  /// bounds.size() for overflow.
+  size_t Observe(double v);
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Interpolated p-quantile estimate (p in [0,1]); 0 when empty.
+  /// Lifetime p-quantile estimate (p in [0,1]); 0 when empty.
   double Percentile(double p) const;
   const std::vector<double>& bounds() const { return bounds_; }
   /// Raw (non-cumulative) count of bucket i, i in [0, bounds.size()];
@@ -97,8 +100,7 @@ class Histogram {
   }
 
   /// The serving latency grid: power-of-two microsecond upper bounds
-  /// 2^0us .. 2^39us expressed in milliseconds (0.001ms .. ~550s) — the
-  /// same grid the PR 5 LatencyHistogram used, now with explicit bounds.
+  /// 2^0us .. 2^39us expressed in milliseconds (0.001ms .. ~550s).
   static std::vector<double> LatencyBoundsMs();
 
  private:
@@ -106,6 +108,40 @@ class Histogram {
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+};
+
+/// \brief The one windowed-count structure: a ring of time buckets of
+/// `counters` counts each, summed over recent windows on demand.
+///
+/// Each counter is one word packing its epoch (high 32 bits; epoch =
+/// floor(now / bucket_seconds)) and its saturating count (low 32). Add is
+/// one CAS: a word of an older epoch restarts at this add, so a bucket's
+/// first touch needs no re-zeroing that could erase a concurrent tally;
+/// an add a revolution late is dropped. Reads count only words tagged
+/// with the epoch asked for. Times are explicit seconds (< 0 dropped).
+class WindowedCounts {
+ public:
+  /// Buckets of `bucket_seconds` (<= 0: 1) covering `span_seconds`.
+  WindowedCounts(size_t counters, double bucket_seconds,
+                 double span_seconds);
+
+  int64_t Epoch(double now) const;
+  void Add(double now, size_t counter, uint64_t n = 1);
+  /// Per-counter sums over epochs [first, last] retained in the ring.
+  std::vector<uint64_t> Sum(int64_t first, int64_t last) const;
+  /// Sums over epochs Epoch(now - window_seconds) .. Epoch(now).
+  std::vector<uint64_t> Window(double now, double window_seconds) const {
+    return Sum(Epoch(now - window_seconds), Epoch(now));
+  }
+  double bucket_seconds() const { return bucket_seconds_; }
+
+ private:
+  static constexpr uint64_t kCountMask = 0xFFFFFFFFull;
+
+  size_t counters_;
+  double bucket_seconds_;
+  size_t buckets_;
+  std::unique_ptr<std::atomic<uint64_t>[]> words_;  // buckets_ * counters_
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };

@@ -1,100 +1,60 @@
 #include "util/obs/slo.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tdmatch {
 namespace util {
 namespace obs {
 
+namespace {
+
+// Counters of one event bucket: good then bad, per objective.
+constexpr size_t kAvailability = 0;
+constexpr size_t kLatency = 2;
+constexpr size_t kCounters = 4;
+
+}  // namespace
+
 SloTracker::SloTracker(SloOptions options)
     : options_(options),
-      availability_(options_.buckets == 0 ? 1 : options_.buckets),
-      latency_(options_.buckets == 0 ? 1 : options_.buckets) {
-  if (options_.buckets == 0) options_.buckets = 1;
-  if (options_.bucket_seconds <= 0) options_.bucket_seconds = 1.0;
-  // The rings must span the longest configured window or tallies expire
-  // while still inside it.
-  const double longest =
-      std::max(options_.fast.long_seconds, options_.slow.long_seconds);
-  const double span =
-      options_.bucket_seconds * static_cast<double>(options_.buckets);
-  if (span < longest) {
-    options_.buckets =
-        static_cast<size_t>(std::ceil(longest / options_.bucket_seconds)) + 1;
-    availability_ = Ring(options_.buckets);
-    latency_ = Ring(options_.buckets);
-  }
-}
-
-void SloTracker::RecordInto(Ring* ring, int64_t epoch, bool good) const {
-  Bucket& b = ring->buckets[static_cast<size_t>(epoch) % options_.buckets];
-  int64_t seen = b.epoch.load(std::memory_order_acquire);
-  if (seen != epoch) {
-    // First touch of this time quantum: one writer wins the CAS and
-    // zeroes the stale tallies; the rest proceed on the fresh bucket.
-    // A tally from the losing side of this tiny race lands in either
-    // the stale or fresh bucket — at 5 s resolution that bias is
-    // far below anything a burn rate can resolve.
-    if (b.epoch.compare_exchange_strong(seen, epoch,
-                                        std::memory_order_acq_rel)) {
-      b.good.store(0, std::memory_order_relaxed);
-      b.bad.store(0, std::memory_order_relaxed);
-    }
-  }
-  if (good) {
-    b.good.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    b.bad.fetch_add(1, std::memory_order_relaxed);
-  }
-}
+      events_(kCounters,
+              std::min(5.0, std::max(0.05, options.fast.short_seconds / 4.0)),
+              std::max(options.fast.long_seconds,
+                       options.slow.long_seconds)) {}
 
 void SloTracker::Record(double now, bool available, bool within_latency) {
-  const int64_t epoch =
-      static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  RecordInto(&availability_, epoch, available);
+  events_.Add(now, kAvailability + (available ? 0 : 1));
   if (options_.latency_budget_ms > 0) {
-    RecordInto(&latency_, epoch, within_latency);
+    events_.Add(now, kLatency + (within_latency ? 0 : 1));
   }
-}
-
-SloTracker::WindowBurn SloTracker::Burn(const Ring& ring,
-                                        double window_seconds, double now,
-                                        double target) const {
-  WindowBurn burn;
-  burn.window_seconds = window_seconds;
-  const int64_t now_epoch =
-      static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  const int64_t first_epoch = static_cast<int64_t>(
-      std::floor((now - window_seconds) / options_.bucket_seconds));
-  for (int64_t e = first_epoch; e <= now_epoch; ++e) {
-    if (e < 0) continue;
-    const Bucket& b = ring.buckets[static_cast<size_t>(e) % options_.buckets];
-    if (b.epoch.load(std::memory_order_acquire) != e) continue;
-    burn.good += b.good.load(std::memory_order_relaxed);
-    burn.bad += b.bad.load(std::memory_order_relaxed);
-  }
-  const uint64_t total = burn.good + burn.bad;
-  burn.error_rate =
-      total == 0 ? 0.0
-                 : static_cast<double>(burn.bad) / static_cast<double>(total);
-  const double budget = 1.0 - target;
-  burn.burn_rate = budget > 0 ? burn.error_rate / budget : 0.0;
-  return burn;
 }
 
 std::vector<SloTracker::ObjectiveStatus> SloTracker::Evaluate(
     double now) const {
+  const double windows[4] = {
+      options_.fast.short_seconds, options_.fast.long_seconds,
+      options_.slow.short_seconds, options_.slow.long_seconds};
+  std::vector<uint64_t> sums[4];
+  for (int i = 0; i < 4; ++i) sums[i] = events_.Window(now, windows[i]);
   std::vector<ObjectiveStatus> out;
-  const auto eval = [&](const std::string& name, const Ring& ring,
+  const auto eval = [&](const std::string& name, size_t objective,
                         double target) {
     ObjectiveStatus st;
     st.name = name;
     st.target = target;
-    st.fast_short = Burn(ring, options_.fast.short_seconds, now, target);
-    st.fast_long = Burn(ring, options_.fast.long_seconds, now, target);
-    st.slow_short = Burn(ring, options_.slow.short_seconds, now, target);
-    st.slow_long = Burn(ring, options_.slow.long_seconds, now, target);
+    WindowBurn* burns[4] = {&st.fast_short, &st.fast_long, &st.slow_short,
+                            &st.slow_long};
+    for (int i = 0; i < 4; ++i) {
+      WindowBurn& b = *burns[i];
+      b.window_seconds = windows[i];
+      b.good = sums[i][objective];
+      b.bad = sums[i][objective + 1];
+      const uint64_t total = b.good + b.bad;
+      b.error_rate = total == 0 ? 0.0
+                                : static_cast<double>(b.bad) /
+                                      static_cast<double>(total);
+      b.burn_rate = target < 1.0 ? b.error_rate / (1.0 - target) : 0.0;
+    }
     st.fast_burning =
         st.fast_short.burn_rate > options_.fast.threshold &&
         st.fast_long.burn_rate > options_.fast.threshold;
@@ -107,19 +67,18 @@ std::vector<SloTracker::ObjectiveStatus> SloTracker::Evaluate(
         std::max(0.0, 1.0 - st.slow_long.burn_rate);
     return st;
   };
-  out.push_back(eval("availability", availability_,
+  out.push_back(eval("availability", kAvailability,
                      options_.availability_target));
   if (options_.latency_budget_ms > 0) {
-    out.push_back(eval("latency", latency_, options_.latency_target));
+    out.push_back(eval("latency", kLatency, options_.latency_target));
   }
   return out;
 }
 
 bool SloTracker::Degraded(double now) const {
-  for (const auto& st : Evaluate(now)) {
-    if (st.fast_burning) return true;
-  }
-  return false;
+  const std::vector<ObjectiveStatus> status = Evaluate(now);
+  return std::any_of(status.begin(), status.end(),
+                     [](const ObjectiveStatus& st) { return st.fast_burning; });
 }
 
 }  // namespace obs

@@ -1,11 +1,11 @@
 #ifndef TDMATCH_UTIL_OBS_SLO_H_
 #define TDMATCH_UTIL_OBS_SLO_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "util/obs/metrics.h"
 
 namespace tdmatch {
 namespace util {
@@ -38,23 +38,19 @@ struct SloOptions {
   /// report-only context on /v1/slo.
   SloWindowPair fast{60.0, 600.0, 14.4};
   SloWindowPair slow{300.0, 3600.0, 6.0};
-  /// Event-ring resolution; total retained span is
-  /// bucket_seconds * buckets and must cover the longest window.
-  double bucket_seconds = 5.0;
-  size_t buckets = 720;  // 1 h at 5 s resolution
 };
 
-/// \brief Objective-based health: every request outcome lands in a
-/// lock-free ring of per-bucket good/bad tallies (one ring per
-/// objective), and burn rates over the configured windows are computed
-/// on demand. The clock is explicit (timestamps in seconds) so tests
-/// drive trajectories with a fake clock.
+/// \brief Objective-based health: every request outcome lands in one
+/// WindowedCounts ring (metrics.h) as a good/bad tally per objective, and
+/// burn rates over the configured windows are summed from it on demand.
+/// The clock is explicit (timestamps in seconds) so tests drive
+/// trajectories with a fake clock.
 ///
-/// Record() is wait-free: a bucket index computation plus two relaxed
-/// atomic adds — safe to call from every request thread at full load.
-/// A bucket is lazily re-zeroed (via an epoch CAS) the first time a new
-/// time quantum touches it, so stale tallies from one ring revolution
-/// ago never leak into a fresh window.
+/// The ring's geometry follows from the windows: buckets of
+/// clamp(fast.short_seconds / 4, 0.05, 5) seconds, so the fast-short
+/// window spans several of them, retained over the longest window.
+/// Record() is lock-free: one or two CAS-added counter words, safe to
+/// call from every request thread at full load.
 class SloTracker {
  public:
   explicit SloTracker(SloOptions options = {});
@@ -91,25 +87,13 @@ class SloTracker {
   bool Degraded(double now) const;
 
   const SloOptions& options() const { return options_; }
+  /// Width of one ring bucket, derived from the fast-short window.
+  double bucket_seconds() const { return events_.bucket_seconds(); }
 
  private:
-  struct Bucket {
-    std::atomic<int64_t> epoch{-1};
-    std::atomic<uint64_t> good{0};
-    std::atomic<uint64_t> bad{0};
-  };
-  struct Ring {
-    explicit Ring(size_t n) : buckets(new Bucket[n]) {}
-    std::unique_ptr<Bucket[]> buckets;
-  };
-
-  void RecordInto(Ring* ring, int64_t epoch, bool good) const;
-  WindowBurn Burn(const Ring& ring, double window_seconds, double now,
-                  double target) const;
-
   SloOptions options_;
-  Ring availability_;
-  Ring latency_;
+  /// Per bucket: availability good/bad, then latency good/bad.
+  WindowedCounts events_;
 };
 
 }  // namespace obs

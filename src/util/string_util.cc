@@ -134,5 +134,14 @@ size_t EditDistance(std::string_view a, std::string_view b) {
   return prev[m];
 }
 
+uint64_t FnvHash(std::string_view s, uint64_t seed) {
+  uint64_t h = seed ^ 1469598103934665603ULL;
+  for (char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 }  // namespace util
 }  // namespace tdmatch

@@ -1,6 +1,7 @@
 #ifndef TDMATCH_UTIL_STRING_UTIL_H_
 #define TDMATCH_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,12 @@ std::string StrFormat(const char* fmt, ...)
 
 /// Levenshtein edit distance (O(|a|·|b|), small-string use only).
 size_t EditDistance(std::string_view a, std::string_view b);
+
+/// FNV-1a-style 64-bit hash of `s` with `seed` xored into the start
+/// value, for hashed features. The start value 1469598103934665603 is
+/// NOT the standard FNV-1a offset basis (14695981039346656037, one digit
+/// longer); it stays bit for bit because hashed features depend on it.
+uint64_t FnvHash(std::string_view s, uint64_t seed = 0);
 
 }  // namespace util
 }  // namespace tdmatch

@@ -1,8 +1,9 @@
-// Tests for the continuous-observability layer (PR 10): the sampling CPU
+// Tests for the continuous-observability layer: the sampling CPU
 // profiler and its folded/JSON renderings, Registry::Collect, the
-// time-series metric history (ring wrap, retention, rate math), the SLO
-// burn-rate tracker (healthy -> fast-burn -> recovery on a fake clock),
-// and the JSONL logger's file sink with keep-one rotation.
+// time-series metric history (ring wrap, retention, rate math), the
+// windowed-count ring (revolutions, late adds, concurrent first touches),
+// the SLO burn-rate tracker (healthy -> fast-burn -> recovery on a fake
+// clock), and the JSONL logger's file sink with keep-one rotation.
 
 #include <atomic>
 #include <cstdint>
@@ -61,6 +62,7 @@ using util::obs::SloTracker;
 using util::obs::TimeSeriesOptions;
 using util::obs::TimeSeriesSampler;
 using util::obs::TimeSeriesStore;
+using util::obs::WindowedCounts;
 
 // ---------------------------------------------------------------------------
 // CpuProfile rendering (pure; no capture involved)
@@ -315,6 +317,82 @@ TEST(TimeSeriesTest, BackgroundSamplerTakesSamples) {
 }
 
 // ---------------------------------------------------------------------------
+// WindowedCounts
+// ---------------------------------------------------------------------------
+
+TEST(WindowedCountsTest, WindowsSumTheirBucketsOnly) {
+  WindowedCounts ring(2, 1.0, 4.0);
+  ring.Add(0.5, 0);
+  ring.Add(1.5, 0, 3);
+  ring.Add(2.5, 1, 2);
+  ring.Add(-1.0, 0);  // before the clock's origin: dropped
+  EXPECT_EQ(ring.Window(2.5, 1.0), (std::vector<uint64_t>{3, 2}));
+  EXPECT_EQ(ring.Window(2.5, 4.0), (std::vector<uint64_t>{4, 2}));
+  EXPECT_EQ(ring.Sum(1, 1), (std::vector<uint64_t>{3, 0}));
+  EXPECT_EQ(ring.Epoch(2.5), 2);
+}
+
+TEST(WindowedCountsTest, StaleAndLateTalliesNeverReachAWindow) {
+  // 4 s span at 1 s: 5 buckets, so epochs 0 and 5 share a slot.
+  WindowedCounts ring(1, 1.0, 4.0);
+  ring.Add(0.5, 0, 7);
+  ring.Add(5.5, 0, 1);  // a revolution later: restarts the slot at 1
+  EXPECT_EQ(ring.Sum(5, 5)[0], 1u);
+  EXPECT_EQ(ring.Sum(0, 0)[0], 0u) << "older than the ring";
+  ring.Add(0.5, 0, 7);  // a revolution late: dropped, not merged
+  EXPECT_EQ(ring.Sum(5, 5)[0], 1u);
+  EXPECT_EQ(ring.Window(5.5, 10.0)[0], 1u);
+}
+
+TEST(WindowedCountsTest, ConcurrentAddsAcrossBucketBoundariesSumExactly) {
+  // Every thread crosses each bucket boundary together (a barrier per
+  // epoch), adding alternately to the bucket just left and the one just
+  // entered, so first touches of a fresh bucket race with adds into it.
+  // A ring that reset a bucket on first touch could erase those adds.
+  constexpr int kThreads = 4;
+  constexpr int kEpochs = 64;
+  constexpr int kAddsPerEpoch = 200;
+  WindowedCounts ring(2, 1.0, kEpochs);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int e = 1; e <= kEpochs; ++e) {
+        arrived.fetch_add(1);
+        while (arrived.load() < e * kThreads) std::this_thread::yield();
+        for (int i = 0; i < kAddsPerEpoch; ++i) {
+          const double now = (i % 2 == 0 ? e : e - 1) + 0.5;
+          ring.Add(now, static_cast<size_t>((i + t) % 2));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::vector<uint64_t> sums = ring.Sum(0, kEpochs);
+  EXPECT_EQ(sums[0] + sums[1],
+            static_cast<uint64_t>(kThreads) * kEpochs * kAddsPerEpoch);
+  EXPECT_EQ(sums[0], sums[1]);
+}
+
+TEST(WindowedCountsTest, WindowPercentileMatchesTheLifetimeEstimator) {
+  // One estimator serves both: a window holding a histogram's whole
+  // stream reports the histogram's own percentiles.
+  util::obs::Histogram lifetime(util::obs::Histogram::LatencyBoundsMs());
+  const std::vector<double>& bounds = lifetime.bounds();
+  WindowedCounts ring(bounds.size() + 1, 1.0, 10.0);
+  for (int i = 0; i < 1000; ++i) {
+    const double ms = 0.01 * (i % 97) + (i % 13 == 0 ? 40.0 : 0.0);
+    ring.Add(i / 100.0, lifetime.Observe(ms));
+  }
+  const std::vector<uint64_t> window = ring.Window(9.99, 10.0);
+  for (double p : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(util::obs::BucketPercentile(bounds, window.data(), p),
+              lifetime.Percentile(p))
+        << "p=" << p;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // SLO burn-rate tracking
 // ---------------------------------------------------------------------------
 
@@ -325,8 +403,6 @@ SloOptions TestSloOptions() {
   o.latency_budget_ms = 50.0;
   o.fast = {10.0, 60.0, 14.4};
   o.slow = {60.0, 300.0, 6.0};
-  o.bucket_seconds = 1.0;
-  o.buckets = 400;
   return o;
 }
 
@@ -407,10 +483,7 @@ TEST(SloTrackerTest, NoLatencyBudgetMeansAvailabilityOnly) {
 }
 
 TEST(SloTrackerTest, StaleBucketsDoNotLeakAcrossRingRevolutions) {
-  SloOptions o = TestSloOptions();
-  o.bucket_seconds = 1.0;
-  o.buckets = 400;
-  SloTracker slo(o);
+  SloTracker slo(TestSloOptions());
   // Write a bad burst, then jump the clock far past one full ring
   // revolution: the old tallies' epochs no longer match any window.
   for (int i = 0; i < 100; ++i) slo.Record(5.0, false, false);

@@ -3,8 +3,9 @@
 // counts, per-shard adoption of the snapshot's global IVF section (and
 // the fallback on hostile ones), the release of the snapshot pages a
 // build copied, the AdmissionController + NprobeTuner
-// front-door knobs, the striped LRU ResultCache, and the MatchService
-// overload/caching behavior over HTTP.
+// front-door knobs (and the tuner's windowed control loop on a fake
+// clock), the LRU ResultCache, and the MatchService overload/caching
+// behavior over HTTP.
 
 #include <unistd.h>
 
@@ -893,8 +894,8 @@ TEST(AdmissionTest, BurstReplayShedsExactlyTheExcess) {
 TEST(NprobeTunerTest, DisabledWithoutBudget) {
   NprobeTuner tuner;  // budget_ms defaults to 0
   EXPECT_FALSE(tuner.enabled());
-  for (int i = 0; i < 200; ++i) tuner.Observe(1e6);
-  EXPECT_EQ(tuner.observed(), 0u);
+  for (int i = 0; i < 200; ++i) tuner.Decide(1e6);
+  EXPECT_EQ(tuner.decisions(), 0u);
   EXPECT_EQ(tuner.adjustments(), 0u);
 }
 
@@ -904,23 +905,19 @@ TEST(NprobeTunerTest, MultiplicativeBackoffOverBudget) {
   opts.min_nprobe = 2;
   opts.max_nprobe = 64;
   opts.initial_nprobe = 16;
-  opts.window = 4;
   NprobeTuner tuner(opts);
   ASSERT_TRUE(tuner.enabled());
   EXPECT_EQ(tuner.nprobe(), 16u);
 
-  auto window_over_budget = [&] {
-    for (int i = 0; i < 4; ++i) tuner.Observe(50.0);
-  };
-  window_over_budget();
+  tuner.Decide(50.0);
   EXPECT_EQ(tuner.nprobe(), 8u);
-  window_over_budget();
+  tuner.Decide(50.0);
   EXPECT_EQ(tuner.nprobe(), 4u);
-  window_over_budget();
+  tuner.Decide(50.0);
   EXPECT_EQ(tuner.nprobe(), 2u);
-  window_over_budget();
+  tuner.Decide(50.0);
   EXPECT_EQ(tuner.nprobe(), 2u);  // floored at min_nprobe
-  EXPECT_EQ(tuner.adjustments(), 3u);  // the floor window changed nothing
+  EXPECT_EQ(tuner.adjustments(), 3u);  // the floor decision changed nothing
 }
 
 TEST(NprobeTunerTest, AdditiveRecoveryUnderHalfBudget) {
@@ -929,17 +926,13 @@ TEST(NprobeTunerTest, AdditiveRecoveryUnderHalfBudget) {
   opts.min_nprobe = 1;
   opts.max_nprobe = 6;
   opts.initial_nprobe = 4;
-  opts.window = 2;
   NprobeTuner tuner(opts);
-  tuner.Observe(1.0);
-  EXPECT_EQ(tuner.nprobe(), 4u);  // mid-window: no change yet
-  tuner.Observe(1.0);
+  EXPECT_EQ(tuner.nprobe(), 4u);  // no decision yet
+  tuner.Decide(1.0);
   EXPECT_EQ(tuner.nprobe(), 5u);
-  tuner.Observe(1.0);
-  tuner.Observe(1.0);
+  tuner.Decide(1.0);
   EXPECT_EQ(tuner.nprobe(), 6u);
-  tuner.Observe(1.0);
-  tuner.Observe(1.0);
+  tuner.Decide(1.0);
   EXPECT_EQ(tuner.nprobe(), 6u);  // capped at max_nprobe
 }
 
@@ -947,13 +940,12 @@ TEST(NprobeTunerTest, HoldsInsideTheDeadband) {
   NprobeTunerOptions opts;
   opts.budget_ms = 10.0;
   opts.initial_nprobe = 4;
-  opts.window = 2;
   NprobeTuner tuner(opts);
   // Between half the budget and the budget: neither direction moves.
-  for (int i = 0; i < 10; ++i) tuner.Observe(7.0);
+  for (int i = 0; i < 5; ++i) tuner.Decide(7.0);
   EXPECT_EQ(tuner.nprobe(), 4u);
   EXPECT_EQ(tuner.adjustments(), 0u);
-  EXPECT_EQ(tuner.observed(), 10u);
+  EXPECT_EQ(tuner.decisions(), 5u);
 }
 
 TEST(NprobeTunerTest, ConstructorClampsDegenerateOptions) {
@@ -962,12 +954,68 @@ TEST(NprobeTunerTest, ConstructorClampsDegenerateOptions) {
   opts.min_nprobe = 0;   // -> 1
   opts.max_nprobe = 0;   // -> min
   opts.initial_nprobe = 99;  // -> clamped into [min, max]
-  opts.window = 0;       // -> 1
   NprobeTuner tuner(opts);
   EXPECT_EQ(tuner.nprobe(), 1u);
-  EXPECT_EQ(tuner.options().window, 1u);
-  tuner.Observe(100.0);  // window 1: adjusts every observation, stays >= 1
+  tuner.Decide(100.0);  // halving at the floor stays >= 1
   EXPECT_EQ(tuner.nprobe(), 1u);
+}
+
+TEST(NprobeTunerTest, WindowedP99BacksOffAfterALongHealthyUptime) {
+  // The serving control loop on a fake clock: 10^6 fast answered queries
+  // (0.4 ms) over 100 one-second ring buckets, then a slow phase (40 ms,
+  // at a tenth of the rate) of five buckets against a 10 ms budget, then
+  // fast traffic again. The ring is the service's recent window over the
+  // latency grid; the lifetime histogram is the feed the tuner and
+  // Retry-After used to read.
+  NprobeTunerOptions opts;
+  opts.budget_ms = 10.0;
+  opts.max_nprobe = 64;
+  opts.initial_nprobe = 16;
+  NprobeTuner tuner(opts);
+  util::obs::Histogram lifetime(util::obs::Histogram::LatencyBoundsMs());
+  const std::vector<double>& bounds = lifetime.bounds();
+  const double window_s = 4.0;  // the fast-short window Retry-After reads
+  util::obs::WindowedCounts recent(bounds.size() + 1, 1.0, window_s);
+  const auto run_bucket = [&](int epoch, double ms, int answered) {
+    for (int i = 0; i < answered; ++i) {
+      const double now = epoch + (i + 0.5) / answered;
+      recent.Add(now, lifetime.Observe(ms));
+      tuner.Step(now, recent, bounds);
+    }
+  };
+  const auto recent_p50 = [&](double now) {
+    return util::obs::BucketPercentile(
+        bounds, recent.Window(now, window_s).data(), 0.5);
+  };
+
+  for (int epoch = 0; epoch < 100; ++epoch) run_bucket(epoch, 0.4, 10000);
+  // One decision per bucket, each on the previous bucket's p99; the first
+  // bucket's decision had nothing to read and held.
+  EXPECT_EQ(tuner.decisions(), 99u);
+  EXPECT_EQ(tuner.nprobe(), 64u);  // additive recovery up to the ceiling
+  const double fast_p50 = recent_p50(99.99);
+  EXPECT_LT(fast_p50, 0.5);
+
+  run_bucket(100, 40.0, 1000);
+  EXPECT_EQ(tuner.nprobe(), 64u) << "bucket 100 decided on bucket 99";
+  run_bucket(101, 40.0, 1000);
+  EXPECT_EQ(tuner.decisions(), 101u);
+  EXPECT_EQ(tuner.nprobe(), 32u) << "bucket 101 decided on bucket 100";
+  for (int epoch = 102; epoch < 105; ++epoch) run_bucket(epoch, 40.0, 1000);
+  EXPECT_LT(lifetime.Percentile(0.99), opts.budget_ms)
+      << "the lifetime p99 never leaves the budget";
+  const double slow_p50 = recent_p50(104.99);
+  EXPECT_GT(slow_p50, opts.budget_ms);
+
+  // Retry-After's p50 returns to the fast value once the slow phase ages
+  // out of the window, and the hint for a fixed backlog with it.
+  for (int epoch = 105; epoch < 110; ++epoch) run_bucket(epoch, 0.4, 10000);
+  EXPECT_EQ(recent_p50(109.99), fast_p50);
+  AdmissionController gate;
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(gate.TryAcquire());
+  EXPECT_EQ(gate.RetryAfterSeconds(slow_p50), 25);  // 500 x 49.152 ms
+  EXPECT_EQ(gate.RetryAfterSeconds(recent_p50(109.99)), 1);
+  EXPECT_LT(lifetime.Percentile(0.99), opts.budget_ms);
 }
 
 // ---------------------------------------------------------------------------
@@ -986,8 +1034,7 @@ TEST(ResultCacheTest, DisabledAtZeroCapacity) {
 }
 
 TEST(ResultCacheTest, LruEvictsTheColdestEntry) {
-  // One stripe makes the LRU order global and the test deterministic.
-  ResultCache cache(ResultCacheOptions{2, 1});
+  ResultCache cache(ResultCacheOptions{2});
   cache.Put("a", 1, "A");
   cache.Put("b", 1, "B");
   std::string out;
@@ -1006,7 +1053,7 @@ TEST(ResultCacheTest, LruEvictsTheColdestEntry) {
 }
 
 TEST(ResultCacheTest, VersionMismatchErasesTheStaleEntry) {
-  ResultCache cache(ResultCacheOptions{4, 1});
+  ResultCache cache(ResultCacheOptions{4});
   cache.Put("q", 1, "old epoch");
   std::string out;
   EXPECT_FALSE(cache.Get("q", 2, &out));  // stale stamp: miss + erase
@@ -1018,7 +1065,7 @@ TEST(ResultCacheTest, VersionMismatchErasesTheStaleEntry) {
 }
 
 TEST(ResultCacheTest, PutRefreshesInPlace) {
-  ResultCache cache(ResultCacheOptions{2, 1});
+  ResultCache cache(ResultCacheOptions{2});
   cache.Put("k", 1, "v1");
   cache.Put("k", 2, "v2");  // refresh, not a second entry
   EXPECT_EQ(cache.size(), 1u);
@@ -1031,7 +1078,7 @@ TEST(ResultCacheTest, PutRefreshesInPlace) {
 }
 
 TEST(ResultCacheTest, ClearDropsEverything) {
-  ResultCache cache(ResultCacheOptions{16, 4});
+  ResultCache cache(ResultCacheOptions{16});
   for (int i = 0; i < 12; ++i) {
     cache.Put("key" + std::to_string(i), 1, "v");
   }
@@ -1042,36 +1089,65 @@ TEST(ResultCacheTest, ClearDropsEverything) {
   EXPECT_FALSE(cache.Get("key3", 1, &out));
 }
 
-TEST(ResultCacheTest, StripesNeverExceedCapacity) {
-  // capacity 4 with 8 requested stripes: the ctor clamps to one entry per
-  // stripe rather than silently growing the budget to 8.
-  ResultCache cache(ResultCacheOptions{4, 8});
-  EXPECT_EQ(cache.options().stripes, 4u);
+TEST(ResultCacheTest, HoldsExactlyItsCapacity) {
+  ResultCache cache(ResultCacheOptions{4});
   for (int i = 0; i < 64; ++i) {
     cache.Put("key" + std::to_string(i), 1, "v");
   }
-  EXPECT_LE(cache.size(), 4u);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.evictions(), 60u);
+  std::string out;
+  for (int i = 60; i < 64; ++i) {
+    EXPECT_TRUE(cache.Get("key" + std::to_string(i), 1, &out)) << i;
+  }
 }
+
+// Exact LRU over a plain vector, least recently used first: the model
+// the cache's hits and evictions are checked against.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Get(const std::string& key) {
+    auto it = std::find(keys_.begin(), keys_.end(), key);
+    if (it == keys_.end()) return false;
+    std::rotate(it, it + 1, keys_.end());
+    ++hits_;
+    return true;
+  }
+  void Put(const std::string& key) {
+    keys_.push_back(key);
+    if (keys_.size() > capacity_) {
+      keys_.erase(keys_.begin());
+      ++evictions_;
+    }
+  }
+  uint64_t hits() const { return hits_; }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  size_t capacity_;
+  std::vector<std::string> keys_;
+  uint64_t hits_ = 0;
+  uint64_t evictions_ = 0;
+};
 
 TEST(ResultCacheTest, SeededHotSetStreamHitsAndEvictsExactly) {
   // 20,000 lookups from one seeded stream, half of them drawn from a hot
   // set 1/8 the size of the key space: the shape a result cache exists
   // for. Every miss is followed by a Put, as the query handler does. The
-  // rates are pure functions of (seed, grid).
-  //
-  // {64 entries, 64 keys} still evicts although the cache could hold
-  // every key: per-stripe capacity is capacity / stripes (8 entries in
-  // each of 8 stripes), and the key hash does not spread 64 keys evenly,
-  // so a stripe that draws more than 8 of them evicts.
+  // pinned rates are ReferenceLru's on the same stream, so a cache that
+  // holds every key ({64 entries, 64 keys}) evicts nothing.
   struct Case {
     size_t entries, keys;
     double hit_rate;
     uint64_t evictions;
   };
-  for (const Case c : {Case{64, 64, 0.91725, 1601},
-                       Case{64, 256, 0.4956, 10024},
-                       Case{256, 1024, 0.52155, 9313}}) {
-    ResultCache cache(ResultCacheOptions{c.entries, 8});
+  for (const Case c : {Case{64, 64, 0.9968, 0},
+                       Case{64, 256, 0.52955, 9345},
+                       Case{256, 1024, 0.52645, 9215}}) {
+    ResultCache cache(ResultCacheOptions{c.entries});
+    ReferenceLru model(c.entries);
     util::Rng rng(4243);
     const size_t lookups = 20000;
     for (size_t i = 0; i < lookups; ++i) {
@@ -1081,15 +1157,18 @@ TEST(ResultCacheTest, SeededHotSetStreamHitsAndEvictsExactly) {
           "q" + std::to_string(rng.UniformInt(universe)) + "|k=5|m=a|np=4";
       std::string body;
       if (!cache.Get(key, 1, &body)) cache.Put(key, 1, "{\"matches\":[]}");
+      if (!model.Get(key)) model.Put(key);
     }
     const std::string config = "entries=" + std::to_string(c.entries) +
                                " keys=" + std::to_string(c.keys);
     ASSERT_EQ(cache.hits() + cache.misses(), lookups) << config;
-    EXPECT_DOUBLE_EQ(static_cast<double>(cache.hits()) /
+    EXPECT_EQ(cache.hits(), model.hits()) << config;
+    EXPECT_EQ(cache.evictions(), model.evictions()) << config;
+    EXPECT_DOUBLE_EQ(static_cast<double>(model.hits()) /
                          static_cast<double>(lookups),
                      c.hit_rate)
         << config;
-    EXPECT_EQ(cache.evictions(), c.evictions) << config;
+    EXPECT_EQ(model.evictions(), c.evictions) << config;
     EXPECT_LE(cache.size(), c.entries) << config;
   }
 }

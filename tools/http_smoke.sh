@@ -18,9 +18,13 @@
 #              --max-inflight 2 must produce at least one 429 with a
 #              well-formed Retry-After while /v1/healthz stays green and
 #              the /v1/stats shed counter advances.
+#   autotune   the nprobe tuner over the wire: a latency budget no query
+#              can meet and a 0.4 s fast SLO window (0.1 s ring buckets),
+#              so about 1 s of approx queries must make the tuner back
+#              off at least once.
 set -euo pipefail
 
-mode=${1:?usage: http_smoke.sh <basic|sanitized|sharded> <serve-binary> <snapshot.tds>}
+mode=${1:?usage: http_smoke.sh <basic|sanitized|sharded|autotune> <serve-binary> <snapshot.tds>}
 serve_bin=${2:?missing tdmatch_serve binary path}
 snapshot=${3:?missing snapshot path}
 
@@ -271,8 +275,28 @@ case "$mode" in
     drain "$shard_pid"
     ;;
 
+  autotune)
+    port=18082
+    start_server "$port" --latency-budget-ms 0.001 --slo-fast-window-s 0.4 \
+      --nprobe 8
+    server_pid=$last_pid
+    wait_healthy "$port" 50
+    # The tuner decides once per ring bucket on the previous bucket's p99,
+    # so queries must keep arriving across several 0.1 s buckets: 100 of
+    # them at least 10 ms apart span about a second.
+    for ((i = 0; i < 100; i++)); do
+      post "$port" '{"label": "q:0", "k": 3, "mode": "approx"}' > /dev/null
+      sleep 0.01
+    done
+    curl -sf "http://127.0.0.1:$port/v1/metrics" > "$tmp_dir/metrics.txt"
+    python3 "$(dirname "$0")/check_metrics.py" "$tmp_dir/metrics.txt" \
+      --min tdmatch_autotune_adjustments_total:1 \
+      || fail "the nprobe tuner made no adjustment"
+    drain "$server_pid"
+    ;;
+
   *)
-    fail "unknown mode '$mode' (expected basic|sanitized|sharded)"
+    fail "unknown mode '$mode' (expected basic|sanitized|sharded|autotune)"
     ;;
 esac
 

@@ -105,11 +105,6 @@ std::string GraphBuilder::NormalizeLabel(const text::Preprocessor& pp,
   return util::Join(pp.Tokens(raw), " ");
 }
 
-size_t GraphBuilder::DistinctTokens(const corpus::Corpus& c) const {
-  auto docs = PreprocessCorpus(c, preprocessor_, options_.threads);
-  return CountDistinct(docs);
-}
-
 util::Result<Graph> GraphBuilder::Build(const corpus::Corpus& first,
                                         const corpus::Corpus& second) const {
   if (first.NumDocs() == 0 || second.NumDocs() == 0) {

@@ -82,10 +82,6 @@ class GraphBuilder {
   const text::Preprocessor& preprocessor() const { return preprocessor_; }
 
  private:
-  /// Distinct base-token count of a corpus (decides creation order for
-  /// kIntersect).
-  size_t DistinctTokens(const corpus::Corpus& c) const;
-
   BuilderOptions options_;
   text::Preprocessor preprocessor_;
 };

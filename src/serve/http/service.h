@@ -192,7 +192,7 @@ util::Result<QueryRequest> ParseQueryRequest(std::string_view body,
 /// use, and block until it returns. So every epoch allocates from that
 /// thread's malloc arena, and a new epoch reuses the heap its predecessor
 /// freed instead of growing the arena of whichever thread asked. The
-/// build releases the snapshot pages it copied (everything past the
+/// build releases the snapshot pages it read (everything past the
 /// labels; see SnapshotView::ReleasePayloadPages). The old epoch is freed
 /// when its last pin drops, so memory across reloads peaks at two
 /// epochs: the serving one and the one being built.

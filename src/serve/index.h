@@ -2,6 +2,7 @@
 #define TDMATCH_SERVE_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,44 +17,63 @@ namespace serve {
 /// shared by the serving matrix and the IVF centroid update.
 void NormalizeSlice(float* row, int dim);
 
-/// \brief Immutable row-major matrix of L2-normalized vectors — the shared
-/// storage behind every serving index.
+/// \brief Immutable row-major matrix of L2-normalized candidate vectors —
+/// the one vector store behind every serving index.
 ///
 /// Normalizing once at build time turns cosine similarity into a plain dot
 /// product on the query path, and one flat allocation keeps the scan loops
-/// on contiguous memory. Candidate ids are row indices; the caller owns
-/// the id → label mapping (see QueryEngine).
+/// on contiguous memory. Rows are stored in candidate-id order or, behind
+/// an IvfIndex, in inverted-list order: ids() names the candidate at each
+/// storage position, scans walk positions (row_at) and report ids, and
+/// row(id) reads by id. The caller owns the id → label mapping (see
+/// QueryEngine).
 class VectorMatrix {
  public:
   VectorMatrix() = default;
 
-  /// Copies and L2-normalizes the rows (zero vectors stay zero). Every row
-  /// must have `dim` entries.
+  /// Copies and L2-normalizes the rows (zero vectors stay zero): candidate
+  /// i is rows[i], which must have `dim` entries. A non-empty `order` (a
+  /// permutation of the ids) stores candidate order[p] at position p.
   static VectorMatrix FromRows(
-      const std::vector<const std::vector<float>*>& rows, int dim);
+      const std::vector<const std::vector<float>*>& rows, int dim,
+      std::vector<int32_t> order = {});
 
-  /// Same, gathering from a raw row-major f32 payload (`payload` holds
-  /// rows of `dim` floats; `rows[i]` is the source row index of output row
-  /// i). Rows are memcpy'd, so the payload may be unaligned — this is the
-  /// bridge from a zero-copy SnapshotView into the (necessarily copying,
-  /// because normalizing) index matrix.
+  /// Same, from a raw row-major f32 payload: candidate i is payload row
+  /// `rows[i]`, read in that order and memcpy'd (the payload may be
+  /// unaligned) — the bridge from a zero-copy SnapshotView into the
+  /// (necessarily copying, because normalizing) index matrix.
   static VectorMatrix FromRawRows(const char* payload,
-                                  const std::vector<size_t>& rows, int dim);
+                                  const std::vector<size_t>& rows, int dim,
+                                  std::vector<int32_t> order = {});
 
-  const float* row(size_t i) const {
-    return data_.data() + i * static_cast<size_t>(dim_);
+  /// A copy with candidate order[p] at position p.
+  VectorMatrix Reordered(std::vector<int32_t> order) const;
+
+  const float* row_at(size_t pos) const {
+    return data_.data() + pos * static_cast<size_t>(dim_);
   }
-  size_t size() const { return n_; }
+  const float* row(size_t id) const {
+    return row_at(static_cast<size_t>(positions_[id]));
+  }
+  const std::vector<int32_t>& ids() const { return ids_; }
+  size_t size() const { return ids_.size(); }
   int dim() const { return dim_; }
 
-  /// Dot product of a `dim()`-sized query against row i.
-  float Dot(const float* query, size_t i) const;
-
  private:
+  /// An n × dim matrix in `order` (id order when empty), rows unset.
+  static VectorMatrix Allocate(size_t n, int dim, std::vector<int32_t> order);
+  float* mutable_row(size_t id) { return const_cast<float*>(row(id)); }
+
   std::vector<float> data_;
-  size_t n_ = 0;
+  std::vector<int32_t> ids_;        // storage position → candidate id
+  std::vector<int32_t> positions_;  // candidate id → storage position
   int dim_ = 0;
 };
+
+/// Builds a candidate matrix with candidate order[p] at position p (id
+/// order when `order` is empty) — how an index that fixes the storage
+/// order asks its caller for the rows.
+using MatrixGather = std::function<VectorMatrix(std::vector<int32_t> order)>;
 
 /// \brief Top-k retrieval over a fixed candidate set — the serving-side
 /// contract. Implementations: ExactIndex (brute force, the correctness
@@ -102,9 +122,13 @@ class ExactIndex : public Index {
   size_t size() const override { return data_->size(); }
   int dim() const override { return data_->dim(); }
 
+  /// Scans in storage order; TopKHeap's total order makes the result the
+  /// same as an id-order scan's, ties and NaN included.
   std::vector<match::Match> Search(
       const float* query, size_t k,
       const std::vector<char>* allowed = nullptr) const override;
+
+  const std::shared_ptr<const VectorMatrix>& matrix() const { return data_; }
 
  private:
   std::shared_ptr<const VectorMatrix> data_;

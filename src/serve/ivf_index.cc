@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "serve/kmeans.h"
 #include "util/byte_io.h"
@@ -73,7 +72,8 @@ void IvfIndex::Train() {
   std::vector<uint8_t> codes;
   if (pq_enabled()) TrainPq(&codes);
 
-  // Inverted lists, flat CSR.
+  // Inverted lists, flat CSR, members in id order within each cell; the
+  // matrix is then stored once in that list order.
   list_offsets_.assign(nlist_ + 1, 0);
   for (size_t i = 0; i < n; ++i) {
     ++list_offsets_[static_cast<size_t>(assign[i]) + 1];
@@ -81,23 +81,17 @@ void IvfIndex::Train() {
   for (size_t c = 0; c < nlist_; ++c) {
     list_offsets_[c + 1] += list_offsets_[c];
   }
-  list_ids_.resize(n);
   const size_t m = options_.pq_m;
-  if (pq_enabled()) {
-    list_codes_.resize(n * m);
-  } else {
-    list_vectors_.resize(n * d);
-  }
+  list_codes_.resize(n * m);
+  std::vector<int32_t> order(n);
   std::vector<size_t> fill = list_offsets_;
-  for (size_t i = 0; i < n; ++i) {  // id order within each cell
+  for (size_t i = 0; i < n; ++i) {
     const size_t pos = fill[static_cast<size_t>(assign[i])]++;
-    list_ids_[pos] = static_cast<int32_t>(i);
-    if (pq_enabled()) {
-      std::copy_n(codes.data() + i * m, m, list_codes_.data() + pos * m);
-    } else {
-      std::copy_n(data_->row(i), d, list_vectors_.data() + pos * d);
-    }
+    order[pos] = static_cast<int32_t>(i);
+    std::copy_n(codes.data() + i * m, m, list_codes_.data() + pos * m);
   }
+  data_ = std::make_shared<const VectorMatrix>(
+      data_->Reordered(std::move(order)));
 }
 
 void IvfIndex::TrainPq(std::vector<uint8_t>* codes) {
@@ -137,7 +131,7 @@ void IvfIndex::TrainPq(std::vector<uint8_t>* codes) {
 size_t IvfIndex::MemoryBytes() const {
   return centroids_.size() * sizeof(float) +
          list_offsets_.size() * sizeof(size_t) +
-         list_ids_.size() * sizeof(int32_t) + ListBytes();
+         data_->size() * sizeof(int32_t) + (pq_enabled() ? ListBytes() : 0);
 }
 
 size_t IvfIndex::ListBytes() const {
@@ -145,7 +139,7 @@ size_t IvfIndex::ListBytes() const {
     return list_codes_.size() * sizeof(uint8_t) +
            codebook_.size() * sizeof(float);
   }
-  return list_vectors_.size() * sizeof(float);
+  return data_->size() * static_cast<size_t>(data_->dim()) * sizeof(float);
 }
 
 std::vector<match::Match> IvfIndex::Search(
@@ -177,22 +171,24 @@ std::vector<match::Match> IvfIndex::SearchFlat(
     const float* query, size_t k, const std::vector<match::Match>& probes,
     const std::vector<char>* allowed) const {
   const size_t d = static_cast<size_t>(data_->dim());
+  const int32_t* ids = data_->ids().data();
+  const float* rows = data_->row_at(0);
 
-  // One pass over the probed lists: each member's exact cosine (the
-  // vectors are full-precision, so the "re-rank" is exact by
-  // construction) goes straight into the bounded heap. Its order breaks
-  // ties by lower candidate id whatever the scan order, so IVF and exact
-  // return identical results whenever the probed cells cover the exact
-  // top-k, ties included.
+  // One pass over the probed lists, reading the matrix in place: each
+  // member's exact cosine (the rows are full-precision, so the "re-rank"
+  // is exact by construction) goes straight into the bounded heap. Its
+  // order breaks ties by lower candidate id whatever the scan order, so
+  // IVF and exact return identical results whenever the probed cells
+  // cover the exact top-k, ties included.
   match::TopKHeap top(k);
   for (const auto& probe : probes) {
     const size_t c = static_cast<size_t>(probe.index);
     for (size_t pos = list_offsets_[c]; pos < list_offsets_[c + 1]; ++pos) {
-      const int32_t id = list_ids_[pos];
+      const int32_t id = ids[pos];
       if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
         continue;
       }
-      top.Push(id, simd::Dot(query, list_vectors_.data() + pos * d, d));
+      top.Push(id, simd::Dot(query, rows + pos * d, d));
     }
   }
   return top.Take();
@@ -233,7 +229,7 @@ std::vector<match::Match> IvfIndex::SearchPq(
     simd::AdcScan(list_codes_.data() + begin * m, count, m, table.data(),
                   approx.data());
     for (size_t j = 0; j < count; ++j) {
-      const int32_t id = list_ids_[begin + j];
+      const int32_t id = data_->ids()[begin + j];
       if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
         continue;
       }
@@ -241,8 +237,8 @@ std::vector<match::Match> IvfIndex::SearchPq(
     }
   }
 
-  // Exact re-rank of the shortlist against the shared full-precision
-  // matrix. Both heaps break ties by lower candidate id, matching
+  // Exact re-rank of the shortlist against the full-precision rows, read
+  // by id. Both heaps break ties by lower candidate id, matching
   // ExactIndex on ties.
   match::TopKHeap top(k);
   for (const auto& s : shortlist.Take()) {
@@ -257,8 +253,7 @@ std::string IvfIndex::Serialize(uint32_t labels_crc) const {
   const size_t d = static_cast<size_t>(data_->dim());
   std::string out;
   out.reserve(64 + ListBytes() + centroids_.size() * sizeof(float) +
-              list_ids_.size() * sizeof(int32_t) +
-              list_offsets_.size() * sizeof(uint64_t));
+              n * sizeof(int32_t) + list_offsets_.size() * sizeof(uint64_t));
   util::AppendU32(&out, kIvfWireVersion);
   util::AppendU32(&out, labels_crc);
   util::AppendU32(&out, static_cast<uint32_t>(d));
@@ -267,13 +262,12 @@ std::string IvfIndex::Serialize(uint32_t labels_crc) const {
   util::AppendU32(&out, static_cast<uint32_t>(options_.pq_m));
   AppendRaw(&out, centroids_.data(), centroids_.size() * sizeof(float));
   for (const size_t off : list_offsets_) util::AppendU64(&out, off);
-  AppendRaw(&out, list_ids_.data(), list_ids_.size() * sizeof(int32_t));
+  AppendRaw(&out, data_->ids().data(), n * sizeof(int32_t));
   if (pq_enabled()) {
     AppendRaw(&out, codebook_.data(), codebook_.size() * sizeof(float));
     AppendRaw(&out, list_codes_.data(), list_codes_.size());
   } else {
-    AppendRaw(&out, list_vectors_.data(),
-              list_vectors_.size() * sizeof(float));
+    AppendRaw(&out, data_->row_at(0), ListBytes());
   }
   return out;
 }
@@ -363,7 +357,8 @@ util::Result<IvfSection> IvfSection::Parse(std::string_view bytes,
     TDM_RETURN_NOT_OK(
         cur.Skip(kPqCodes * dim * sizeof(float), &section.codebook_));
   }
-  TDM_RETURN_NOT_OK(cur.Skip(n * section.member_bytes(), &section.payload_));
+  TDM_RETURN_NOT_OK(
+      cur.Skip(n * (m > 0 ? m : dim * sizeof(float)), &section.codes_));
   if (cur.Remaining() != 0) {
     return Status::IOError(StrFormat(
         "ivf section: %zu trailing bytes after payload", cur.Remaining()));
@@ -384,27 +379,20 @@ util::Result<std::unique_ptr<IvfIndex>> IvfIndex::Deserialize(
       IvfSection section,
       IvfSection::Parse(bytes, data->size(),
                         static_cast<size_t>(data->dim()), labels_crc));
-  std::vector<int32_t> identity(section.n_);
-  std::iota(identity.begin(), identity.end(), 0);
-  return FromSection(section, std::move(data), identity, options);
+  return FromSection(section, {}, options,
+                     [&](std::vector<int32_t> order) {
+                       return data->Reordered(std::move(order));
+                     });
 }
 
 std::unique_ptr<IvfIndex> IvfIndex::FromSection(
-    const IvfSection& section, std::shared_ptr<const VectorMatrix> data,
-    const std::vector<int32_t>& local_ids, const IvfOptions& options) {
+    const IvfSection& section, const std::vector<int32_t>& local_ids,
+    const IvfOptions& options, const MatrixGather& gather) {
+  TDM_CHECK(local_ids.empty() || local_ids.size() == section.n_);
   const size_t d = section.dim_;
-  const size_t rows = data->size();
-  size_t mapped = 0;
-  for (const int32_t local : local_ids) {
-    TDM_CHECK(local < static_cast<int64_t>(rows)) << "id map past the matrix";
-    if (local >= 0) ++mapped;
-  }
-  TDM_CHECK(static_cast<size_t>(data->dim()) == d &&
-            local_ids.size() == section.n_ && mapped == rows)
-      << "id map does not cover the rows of the matrix";
   const size_t nlist = section.nlist_;
   const size_t m = section.pq_m_;
-  auto idx = std::unique_ptr<IvfIndex>(new IvfIndex(std::move(data)));
+  auto idx = std::unique_ptr<IvfIndex>(new IvfIndex());
   idx->options_ = options;
   idx->options_.nlist = nlist;
   idx->options_.pq_m = m;
@@ -413,34 +401,31 @@ std::unique_ptr<IvfIndex> IvfIndex::FromSection(
   idx->centroids_.resize(nlist * d);
   std::memcpy(idx->centroids_.data(), section.centroids_,
               idx->centroids_.size() * sizeof(float));
-
-  char* payload = nullptr;
   if (m > 0) {
     idx->codebook_.resize(kPqCodes * d);
     std::memcpy(idx->codebook_.data(), section.codebook_,
                 idx->codebook_.size() * sizeof(float));
-    idx->list_codes_.resize(rows * m);
-    payload = reinterpret_cast<char*>(idx->list_codes_.data());
-  } else {
-    idx->list_vectors_.resize(rows * d);
-    payload = reinterpret_cast<char*>(idx->list_vectors_.data());
   }
   // Section ids are a permutation (Parse), so every mapped member is met
-  // exactly once and the lists fill exactly `rows` slots.
-  const size_t stride = section.member_bytes();
+  // exactly once; the gathered matrix checks that `order` permutes its
+  // candidates.
+  const auto* codes = reinterpret_cast<const uint8_t*>(section.codes_);
+  std::vector<int32_t> order;
   idx->list_offsets_.assign(nlist + 1, 0);
-  idx->list_ids_.reserve(rows);
   for (size_t c = 0; c < nlist; ++c) {
     for (size_t pos = section.offsets_[c]; pos < section.offsets_[c + 1];
          ++pos) {
-      const int32_t local = local_ids[static_cast<size_t>(section.id(pos))];
+      const int32_t id = section.id(pos);
+      const int32_t local =
+          local_ids.empty() ? id : local_ids[static_cast<size_t>(id)];
       if (local < 0) continue;
-      std::memcpy(payload + idx->list_ids_.size() * stride,
-                  section.payload_ + pos * stride, stride);
-      idx->list_ids_.push_back(local);
+      idx->list_codes_.insert(idx->list_codes_.end(), codes + pos * m,
+                              codes + (pos + 1) * m);
+      order.push_back(local);
     }
-    idx->list_offsets_[c + 1] = idx->list_ids_.size();
+    idx->list_offsets_[c + 1] = order.size();
   }
+  idx->data_ = std::make_shared<const VectorMatrix>(gather(std::move(order)));
   return idx;
 }
 

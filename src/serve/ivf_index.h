@@ -69,8 +69,6 @@ class IvfSection {
 
   /// Candidate id at list position `pos` (ids are unaligned in the bytes).
   int32_t id(size_t pos) const;
-  /// Payload bytes per member: dim floats (flat) or pq_m codes (PQ).
-  size_t member_bytes() const { return pq_m_ > 0 ? pq_m_ : dim_ * 4; }
 
   size_t n_ = 0;
   size_t dim_ = 0;
@@ -80,7 +78,9 @@ class IvfSection {
   const char* centroids_ = nullptr;    // nlist × dim f32
   const char* ids_ = nullptr;          // n i32, list order
   const char* codebook_ = nullptr;     // PQ only: pq_m × 256 × dim/pq_m f32
-  const char* payload_ = nullptr;      // n × member_bytes(), list order
+  /// PQ: n × pq_m codes in list order. A flat section's n × dim f32
+  /// vectors are bounds-checked but never read.
+  const char* codes_ = nullptr;
 };
 
 /// \brief Inverted-file ANN index (the FAISS "IVF-flat" / "IVF-PQ"
@@ -88,17 +88,17 @@ class IvfSection {
 /// candidate vectors into `nlist` cells; a query scores the `nprobe`
 /// nearest cells' members only.
 ///
-/// Flat mode stores the member vectors copied into list order and scores
-/// every probed member with an exact cosine (the "re-rank" is exact by
-/// construction). PQ mode (pq_m > 0) stores 8-bit product-quantization
-/// codes instead — m bytes per member — scans them with an ADC
-/// lookup-table kernel (simd::AdcScan), and exact-re-ranks only the top
-/// pq_rerank ADC candidates against the shared full-precision matrix.
-///
-/// Inverted lists are stored flat CSR-style (offsets + one contiguous id
-/// array) with the member payload (vectors or codes) in list order, so a
-/// probe scans one contiguous stripe of memory. All dot products route
-/// through the runtime-dispatched simd kernel layer.
+/// The index owns no copy of the vectors: its VectorMatrix, shared with
+/// the engine's ExactIndex, stores the rows in list order, so the members
+/// of cell c are the matrix positions [offsets[c], offsets[c+1]) and a
+/// probe scans one contiguous stripe in place. Flat mode scores every
+/// probed member with an exact cosine (the "re-rank" is exact by
+/// construction). PQ mode (pq_m > 0) also stores 8-bit
+/// product-quantization codes in list order — m bytes per member — scans
+/// them with an ADC lookup-table kernel (simd::AdcScan), and
+/// exact-re-ranks only the top pq_rerank ADC candidates against the
+/// matrix rows. All dot products route through the runtime-dispatched
+/// simd kernel layer.
 ///
 /// Every selection is one streaming pass into a bounded match::TopKHeap:
 /// the nprobe cells, the k results of a flat scan, and the PQ shortlist
@@ -107,19 +107,17 @@ class IvfSection {
 /// order the lists are scanned in.
 class IvfIndex : public Index {
  public:
-  /// Builds the index (trains k-means + optional PQ codebooks, fills the
-  /// inverted lists).
+  /// Trains k-means (and the optional PQ codebooks) over `data` in id
+  /// order, then keeps a list-order copy of it as matrix().
   IvfIndex(std::shared_ptr<const VectorMatrix> data, IvfOptions options);
 
   std::string name() const override { return pq_enabled() ? "ivf_pq" : "ivf"; }
   size_t size() const override { return data_->size(); }
   int dim() const override { return data_->dim(); }
 
-  /// Bytes owned by the index structure itself (centroids, CSR lists,
-  /// codes/codebook or copied vectors). Excludes the full-precision
-  /// matrix, which is shared serving state (the exact index and the PQ
-  /// re-rank read it; in the mmap serving path it is built once per
-  /// snapshot for all indexes).
+  /// Bytes of the index structure: centroids, CSR offsets, list ids and,
+  /// for PQ, codes and codebook — not the matrix rows, which are shared
+  /// serving state (the exact index scans them).
   size_t MemoryBytes() const override;
 
   /// Bytes of the per-member list payload only: n * dim * 4 for flat,
@@ -149,6 +147,8 @@ class IvfIndex : public Index {
   size_t nlist() const { return nlist_; }
   bool pq_enabled() const { return options_.pq_m > 0; }
   const IvfOptions& options() const { return options_; }
+  /// The candidate rows, in list order.
+  const std::shared_ptr<const VectorMatrix>& matrix() const { return data_; }
 
   /// Members of cell `list` (diagnostics / tests).
   size_t ListSize(size_t list) const {
@@ -156,7 +156,7 @@ class IvfIndex : public Index {
   }
 
   /// Serializes the trained structure (centroids, CSR lists, PQ codebook
-  /// and codes or flat vectors) into the bounds-checked wire format that
+  /// and codes or the matrix rows) into the bounds-checked wire format that
   /// Deserialize reads — the payload of a snapshot "ivfpq" section.
   /// `labels_crc` fingerprints the candidate set the index was built over
   /// (CRC-32 of the NUL-joined candidate labels); Deserialize refuses a
@@ -173,19 +173,19 @@ class IvfIndex : public Index {
       std::string_view bytes, std::shared_ptr<const VectorMatrix> data,
       uint32_t labels_crc, const IvfOptions& options);
 
-  /// Adopts the members of `section` that `local_ids` maps onto rows of
-  /// `data` (local_ids[g] = row of section candidate g, -1 = not here;
-  /// every row must be mapped). Centroids and PQ codebook are shared;
-  /// each list keeps its mapped members in section order, ids remapped,
-  /// payload copied straight from the section bytes — so a shard probes
-  /// the same cells and scores its members as the whole index would.
+  /// Adopts the members of `section` that `local_ids` maps here
+  /// (local_ids[g] = local id of section candidate g, -1 = not here; empty
+  /// = all, same ids). Centroids and PQ codebook are shared; each list
+  /// keeps its mapped members in section order, PQ codes copied — so a
+  /// shard probes the same cells and scores its members as the whole
+  /// index would. `gather(order)` builds the matrix with local candidate
+  /// order[p] at position p: a flat section's vectors are never read.
   static std::unique_ptr<IvfIndex> FromSection(
-      const IvfSection& section, std::shared_ptr<const VectorMatrix> data,
-      const std::vector<int32_t>& local_ids, const IvfOptions& options);
+      const IvfSection& section, const std::vector<int32_t>& local_ids,
+      const IvfOptions& options, const MatrixGather& gather);
 
  private:
-  explicit IvfIndex(std::shared_ptr<const VectorMatrix> data)
-      : data_(std::move(data)) {}
+  IvfIndex() = default;
 
   void Train();
   /// Trains the per-subspace codebooks and fills `codes` (n × pq_m, in
@@ -210,14 +210,8 @@ class IvfIndex : public Index {
   /// nlist × dim, L2-normalized (spherical k-means).
   std::vector<float> centroids_;
   /// CSR inverted lists: members of cell c are positions
-  /// [list_offsets_[c], list_offsets_[c+1]) of list_ids_ and of the list
-  /// payload (list_vectors_ or list_codes_).
+  /// [list_offsets_[c], list_offsets_[c+1]) of data_ and of list_codes_.
   std::vector<size_t> list_offsets_;
-  std::vector<int32_t> list_ids_;
-  /// Flat mode: member vectors copied into list order (n × dim): each
-  /// probe scans a contiguous stripe instead of hopping through the
-  /// original matrix. Empty in PQ mode.
-  std::vector<float> list_vectors_;
   /// PQ mode: pq_m × 256 × (dim/pq_m) codebook and n × pq_m codes in
   /// list order. Empty in flat mode.
   std::vector<float> codebook_;

@@ -92,8 +92,8 @@ class SnapshotView {
 
   /// Drops this process's resident pages of everything after the labels:
   /// the f32 payload and every section (MmapFile::ReleasePages, rounded
-  /// inward). An engine build copies both out — the payload into its
-  /// normalized matrices, the "ivfpq" section into its lists — and the
+  /// inward). An engine build reads both once — the payload into its
+  /// normalized matrices, the "ivfpq" section's lists and codes — and the
   /// CRC scan touched every byte, so without this the whole file stays
   /// resident for the life of the epoch. The header and the labels stay:
   /// every label lookup compares bytes there. Reading a released byte

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,19 +89,33 @@ class QueryEngine {
       std::shared_ptr<const SnapshotView> view, const std::string& prefix,
       QueryEngineOptions options = {});
 
-  /// Builds directly over an already-gathered (normalized) candidate
-  /// matrix and its labels — the shard-engine path: ShardedQueryEngine
-  /// partitions one snapshot's candidate set and hands each shard its
-  /// slice. The engine owns no snapshot payload (label-addressed Query
-  /// only resolves candidate labels via QueryVector at the sharded layer).
-  /// `ivf`, when given, is the shard's slice of the snapshot's "ivfpq"
-  /// section (IvfIndex::FromSection over `matrix`) and is adopted as is;
-  /// otherwise the IVF index is trained (when options.build_ivf).
-  static util::Result<QueryEngine> BuildOverMatrix(
-      std::shared_ptr<const VectorMatrix> matrix,
-      std::vector<std::string> candidate_labels, SnapshotMeta meta,
-      QueryEngineOptions options = {},
-      std::unique_ptr<IvfIndex> ivf = nullptr);
+  /// The candidates of `view` (labels starting with `prefix`, in file
+  /// order) with their view rows, and the snapshot's "ivfpq" section when
+  /// `options` adopt it and it validates over exactly these candidates
+  /// (otherwise it is logged and left out).
+  struct ViewCandidates {
+    std::vector<std::string> labels;
+    std::vector<size_t> rows;
+    std::optional<IvfSection> section;
+  };
+  static util::Result<ViewCandidates> FindCandidates(
+      const SnapshotView& view, const std::string& prefix,
+      const QueryEngineOptions& options);
+
+  /// Builds over candidates `labels` whose normalized rows `gather`
+  /// produces — the tail of every Build flavor, and the shard path
+  /// (ShardedQueryEngine builds each shard over its slice of one
+  /// snapshot). With a `section` (see FindCandidates) the engine adopts
+  /// the members `local_ids` maps here (IvfIndex::FromSection; empty =
+  /// all, same ids), its rows gathered straight into list order;
+  /// otherwise it trains the IVF index (when options.build_ivf). The
+  /// engine keeps no table or view: label-addressed Query resolves only
+  /// through QueryVector at the sharded layer.
+  static util::Result<QueryEngine> BuildOverRows(
+      std::vector<std::string> labels, SnapshotMeta meta,
+      QueryEngineOptions options, const MatrixGather& gather,
+      const IvfSection* section = nullptr,
+      const std::vector<int32_t>& local_ids = {});
 
   /// Top-k for the embedding stored under `label` (k = 0 ⇒ default_k).
   /// `nprobe` > 0 overrides the IVF probe count for this query only
@@ -142,13 +157,9 @@ class QueryEngine {
 
   const SnapshotMeta& meta() const { return snapshot_.meta; }
   /// The table BuildForPrefix was given. Empty (dim only) for engines
-  /// built from a view, whose vectors live in the mapping, or over a
-  /// matrix.
+  /// built from a view, whose vectors live in the mapping.
   const embed::EmbeddingTable& table() const { return snapshot_.table; }
   size_t num_candidates() const { return candidate_labels_.size(); }
-  const std::vector<std::string>& candidate_labels() const {
-    return candidate_labels_;
-  }
   bool has_ivf() const { return ivf_ != nullptr; }
   const ExactIndex& exact_index() const { return *exact_; }
   /// Null when build_ivf was off.
@@ -180,31 +191,20 @@ class QueryEngine {
  private:
   QueryEngine() = default;
 
-  const Index& IndexFor(SearchMode mode) const;
-  std::vector<ScoredMatch> ToScored(
-      const std::vector<match::Match>& matches) const;
-  /// Builds the allowed-label mask for filtered queries; returns the
-  /// number of distinct candidates allowed.
-  size_t BuildMask(const std::vector<std::string>& allowed,
-                   std::vector<char>* mask) const;
-  /// Builds the exact index over matrix_, adopts `ivf`, or else the
-  /// snapshot's "ivfpq" `section` (when non-empty and valid), or else
-  /// trains the IVF index, and starts the batch pool — the tail shared by
-  /// every Build flavor.
-  util::Status FinishBuild(QueryEngineOptions options,
-                           std::string_view section,
-                           std::unique_ptr<IvfIndex> ivf = nullptr);
-  /// The embedding stored under `label`: a pointer into the table or the
-  /// mapped view (copy-free on both hot paths; `scratch` is only written
-  /// for an unaligned mapping). Null when the label is unknown.
-  const float* LookupVector(const std::string& label,
-                            std::vector<float>* scratch) const;
-  /// Normalizes a copy of `vec` (table dim) and searches `index`. A
-  /// positive `nprobe` overrides the probe count when `index` is the IVF
-  /// index (ignored otherwise).
-  std::vector<ScoredMatch> SearchNormalized(
-      const Index& index, const float* vec, size_t k,
-      const std::vector<char>* allowed = nullptr, size_t nprobe = 0) const;
+  /// Top-k for the raw vector `vec` (table dim): with `allowed`, the
+  /// exact index under that label mask (see QueryFiltered); otherwise the
+  /// index `mode` selects, a positive `nprobe` overriding the IVF probe
+  /// count.
+  std::vector<ScoredMatch> Search(const float* vec, size_t k,
+                                  SearchMode mode, size_t nprobe,
+                                  const std::vector<std::string>* allowed)
+      const;
+  /// Search for the embedding stored under `label`; NotFound if unknown.
+  util::Result<std::vector<ScoredMatch>> SearchLabel(
+      const std::string& label, size_t k, SearchMode mode, size_t nprobe,
+      const std::vector<std::string>* allowed) const;
+  /// InvalidArgument unless `vec` has the table dim.
+  util::Status CheckDim(const std::vector<float>& vec) const;
 
   Snapshot snapshot_;
   std::shared_ptr<const SnapshotView> view_;
@@ -212,7 +212,6 @@ class QueryEngine {
   std::vector<std::string> candidate_labels_;
   /// label → dense candidate id, for filtered queries.
   std::unordered_map<std::string, int32_t> candidate_index_;
-  std::shared_ptr<const VectorMatrix> matrix_;
   std::unique_ptr<ExactIndex> exact_;
   std::unique_ptr<IvfIndex> ivf_;
   bool ivf_from_snapshot_ = false;

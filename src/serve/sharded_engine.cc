@@ -6,7 +6,6 @@
 
 #include "match/top_k.h"
 #include "serve/mmap_snapshot.h"
-#include "util/obs/jsonlog.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -22,32 +21,23 @@ util::Result<ShardedQueryEngine> ShardedQueryEngine::BuildFromView(
   ShardedQueryEngine sharded(options);
   // Global candidate order = view scan order, exactly as the unsharded
   // BuildFromView resolves it — the order the bit-identity proof leans on.
-  std::vector<std::string> labels;
-  std::vector<size_t> view_rows;
-  for (size_t i = 0; i < view->size(); ++i) {
-    const std::string_view label = view->label(i);
-    if (!util::StartsWith(label, prefix)) continue;
-    labels.emplace_back(label);
-    view_rows.push_back(i);
-  }
-  sharded.meta_ = view->meta();
-  sharded.dim_ = view->dim();
+  // The snapshot's index section fingerprints the whole candidate set:
+  // it is validated once here, then every shard adopts its own slice.
+  TDM_ASSIGN_OR_RETURN(QueryEngine::ViewCandidates candidates,
+                       QueryEngine::FindCandidates(*view, prefix,
+                                                   options.engine));
   sharded.view_ = std::move(view);
-  TDM_RETURN_NOT_OK(sharded.BuildShards(labels, view_rows, prefix));
-  // Every shard now holds its own copy of the payload and section bytes;
-  // serving reads the mapping only for labels and LabelVector rows.
+  TDM_RETURN_NOT_OK(sharded.BuildShards(candidates));
+  // Every shard now holds its normalized rows (in list order when it has
+  // an IVF index) and its lists; serving reads the mapping only for labels
+  // and LabelVector rows.
   sharded.view_->ReleasePayloadPages();
   return sharded;
 }
 
 util::Status ShardedQueryEngine::BuildShards(
-    const std::vector<std::string>& labels,
-    const std::vector<size_t>& view_rows, const std::string& prefix) {
-  if (labels.empty()) {
-    return util::Status::NotFound(util::StrFormat(
-        "snapshot '%s' has no labels with candidate prefix '%s'",
-        meta_.scenario.c_str(), prefix.c_str()));
-  }
+    const QueryEngine::ViewCandidates& candidates) {
+  const std::vector<std::string>& labels = candidates.labels;
   num_candidates_ = labels.size();
   // Partition in global candidate order: each shard's local ids ascend
   // with global ids, so the shard-local TopK tie-break (lower local
@@ -60,38 +50,15 @@ util::Status ShardedQueryEngine::BuildShards(
                                [](const auto& m) { return m.empty(); }),
                 pending.end());
 
-  // The snapshot's index section fingerprints the whole candidate set:
-  // validate it once here, then every shard adopts its own slice.
-  const std::string_view* bytes = view_->Section(QueryEngine::kIvfSectionTag);
-  std::optional<IvfSection> section;
-  if (options_.engine.build_ivf && options_.engine.use_snapshot_index &&
-      bytes != nullptr && !bytes->empty()) {
-    auto parsed = IvfSection::Parse(
-        *bytes, labels.size(), static_cast<size_t>(dim_),
-        QueryEngine::CandidateLabelsCrc(labels));
-    if (parsed.ok()) {
-      section = std::move(parsed).ValueOrDie();
-    } else {
-      util::obs::JsonLogger::Global()
-          .Log(util::obs::LogLevel::kWarn, "ivf_section_ignored")
-          .Str("message", "ignoring snapshot index section")
-          .Str("reason", parsed.status().ToString());
-    }
-  }
-
   // Shard engines are built single-threaded (the shard is the unit of
   // parallelism — at build time across shards here, at query time across
   // the scatter).
   QueryEngineOptions shard_opts = options_.engine;
   shard_opts.threads = 1;
-  IvfOptions ivf_opts = shard_opts.ivf;
-  ivf_opts.threads = 1;
+  const IvfSection* section =
+      candidates.section ? &*candidates.section : nullptr;
 
-  std::vector<util::Result<QueryEngine>> built;
-  built.reserve(pending.size());
-  for (size_t i = 0; i < pending.size(); ++i) {
-    built.emplace_back(util::Status::Internal("shard not built"));
-  }
+  std::vector<std::optional<util::Result<QueryEngine>>> built(pending.size());
   const size_t build_threads = std::max<size_t>(
       1, std::min(options_.engine.threads, pending.size()));
   util::ThreadPool::ParallelFor(
@@ -99,29 +66,27 @@ util::Status ShardedQueryEngine::BuildShards(
       [&](size_t begin, size_t end, size_t) {
         for (size_t i = begin; i < end; ++i) {
           std::vector<size_t> rows;
-          rows.reserve(pending[i].size());
-          for (const size_t g : pending[i]) rows.push_back(view_rows[g]);
-          auto matrix = std::make_shared<VectorMatrix>(
-              VectorMatrix::FromRawRows(view_->payload(), rows, dim_));
-          std::unique_ptr<IvfIndex> ivf;
-          if (section.has_value()) {
-            std::vector<int32_t> local_ids(labels.size(), -1);
-            for (size_t j = 0; j < pending[i].size(); ++j) {
-              local_ids[pending[i][j]] = static_cast<int32_t>(j);
-            }
-            ivf = IvfIndex::FromSection(*section, matrix, local_ids, ivf_opts);
-          }
           std::vector<std::string> shard_labels;
+          rows.reserve(pending[i].size());
           shard_labels.reserve(pending[i].size());
-          for (const size_t g : pending[i]) shard_labels.push_back(labels[g]);
-          built[i] = QueryEngine::BuildOverMatrix(
-              std::move(matrix), std::move(shard_labels), meta_, shard_opts,
-              std::move(ivf));
+          std::vector<int32_t> local_ids(labels.size(), -1);
+          for (const size_t g : pending[i]) {
+            local_ids[g] = static_cast<int32_t>(rows.size());
+            rows.push_back(candidates.rows[g]);
+            shard_labels.push_back(labels[g]);
+          }
+          built[i] = QueryEngine::BuildOverRows(
+              std::move(shard_labels), view_->meta(), shard_opts,
+              [&](std::vector<int32_t> order) {
+                return VectorMatrix::FromRawRows(view_->payload(), rows,
+                                                 dim(), std::move(order));
+              },
+              section, local_ids);
         }
       });
   for (size_t i = 0; i < pending.size(); ++i) {
-    if (!built[i].ok()) return built[i].status();
-    QueryEngine engine = std::move(built[i]).ValueOrDie();
+    if (!built[i]->ok()) return built[i]->status();
+    QueryEngine engine = std::move(*built[i]).ValueOrDie();
     if (engine.has_ivf()) {
       max_nprobe_ = std::max(max_nprobe_, engine.ivf_index()->nlist());
     }
@@ -140,7 +105,7 @@ util::Result<std::vector<float>> ShardedQueryEngine::LabelVector(
   if (row < 0) {
     return util::Status::NotFound("no embedding for label '" + label + "'");
   }
-  std::vector<float> vec(static_cast<size_t>(dim_));
+  std::vector<float> vec(static_cast<size_t>(dim()));
   view_->CopyRow(static_cast<size_t>(row), vec.data());
   return vec;
 }
@@ -149,10 +114,10 @@ util::Result<std::vector<ScoredMatch>> ShardedQueryEngine::ScatterVector(
     const std::vector<float>& vec, size_t k, SearchMode mode, size_t nprobe,
     const std::vector<std::string>* allowed, bool use_pool,
     QueryTiming* timing) const {
-  if (vec.size() != static_cast<size_t>(dim_)) {
+  if (vec.size() != static_cast<size_t>(dim())) {
     return util::Status::InvalidArgument(
         util::StrFormat("query vector has dim %zu, snapshot dim is %d",
-                        vec.size(), dim_));
+                        vec.size(), dim()));
   }
   if (k == 0) k = options_.engine.default_k;
   const size_t s = shards_.size();

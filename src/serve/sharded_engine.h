@@ -43,7 +43,8 @@ struct ShardedEngineOptions {
 /// the whole candidate set, it is validated once against the global
 /// candidates and every shard adopts its slice of it — the shared
 /// centroids (and PQ codebook) plus its own members of every inverted
-/// list (IvfIndex::FromSection). Every shard then probes the cells the
+/// list (IvfIndex::FromSection), its rows gathered from the payload
+/// straight into list order. Every shard then probes the cells the
 /// unsharded index would, so IVF-flat results are bit-identical to the
 /// unsharded adopted engine at any N, and IVF-PQ shards each re-rank
 /// their own ADC shortlist (together a superset of the unsharded one).
@@ -99,8 +100,8 @@ class ShardedQueryEngine {
       const std::vector<std::string>& labels, size_t k = 0,
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
 
-  const SnapshotMeta& meta() const { return meta_; }
-  int dim() const { return dim_; }
+  const SnapshotMeta& meta() const { return view_->meta(); }
+  int dim() const { return view_->dim(); }
   size_t num_candidates() const { return num_candidates_; }
   bool has_ivf() const { return shards_[0].has_ivf(); }
   /// True when every shard adopted its slice of the snapshot's "ivfpq"
@@ -125,15 +126,10 @@ class ShardedQueryEngine {
       : options_(options),
         sharder_(options.shards < 1 ? 1 : options.shards, options.sharder) {}
 
-  /// Partitions `labels` (global candidate order, those with `prefix`;
-  /// candidate g is view row view_rows[g]) and builds one engine per
-  /// non-empty shard over a normalized matrix gathered from the mapped
-  /// payload. The snapshot's "ivfpq" section is validated once over
-  /// `labels` and sliced per shard; one that fails validation is logged
-  /// and every shard trains instead.
-  util::Status BuildShards(const std::vector<std::string>& labels,
-                           const std::vector<size_t>& view_rows,
-                           const std::string& prefix);
+  /// Partitions the candidates (global candidate order) and builds one
+  /// engine per non-empty shard over its rows of the mapped payload,
+  /// adopting its slice of the section when there is one.
+  util::Status BuildShards(const QueryEngine::ViewCandidates& candidates);
   /// A copy of the raw (unnormalized) embedding stored under `label` in
   /// the view; NotFound when unknown.
   util::Result<std::vector<float>> LabelVector(const std::string& label) const;
@@ -146,8 +142,6 @@ class ShardedQueryEngine {
 
   ShardedEngineOptions options_;
   Sharder sharder_;
-  SnapshotMeta meta_;
-  int dim_ = 0;
   size_t num_candidates_ = 0;
   size_t max_nprobe_ = 0;
   /// The mapping every shard matrix was gathered from; label lookups

@@ -24,19 +24,6 @@ Status AppendLengthPrefixed(std::string* out, std::string_view s) {
   return Status::OK();
 }
 
-Status ByteCursor::ReadString(std::string* s) {
-  uint32_t len = 0;
-  TDM_RETURN_NOT_OK(ReadU32(&len));
-  if (len > Remaining()) {
-    return Status::IOError(
-        StrFormat("truncated: string of %u bytes with %zu bytes left", len,
-                  Remaining()));
-  }
-  s->assign(data_ + pos_, len);
-  pos_ += len;
-  return Status::OK();
-}
-
 Status ByteCursor::ReadRaw(void* out, size_t bytes) {
   const char* at = nullptr;
   TDM_RETURN_NOT_OK(Skip(bytes, &at));

@@ -35,9 +35,6 @@ class ByteCursor {
   Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
   Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
 
-  /// Reads a u32 length prefix + that many bytes into `s`.
-  Status ReadString(std::string* s);
-
   /// Reads `count` raw IEEE-754 f32 values.
   Status ReadFloats(float* out, size_t count) {
     return ReadRaw(out, count * sizeof(float));

@@ -17,6 +17,7 @@
 #include "serve/ivf_index.h"
 #include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
+#include "serve/sharded_engine.h"
 #include "serve/snapshot.h"
 #include "testing/mutate.h"
 #include "util/byte_io.h"
@@ -657,7 +658,8 @@ std::vector<match::Match> GatherSortSelectSearch(
   for (const auto& s :
        SortByIdThenSelect(std::move(gathered), std::max(pq_rerank, k))) {
     exact.push_back(match::Match{
-        s.index, matrix.Dot(query, static_cast<size_t>(s.index))});
+        s.index,
+        simd::Dot(query, matrix.row(static_cast<size_t>(s.index)), d)});
   }
   return SortByIdThenSelect(std::move(exact), k);
 }
@@ -797,7 +799,10 @@ TEST(QueryEngineTest, FilteredQueryFindsAllowedOutsideProbedCells) {
 
 TEST(QueryEngineTest, BuildRejectsBadCandidateSets) {
   const auto matrix = MatrixOf({{1.0f, 0.0f}, {0.0f, 1.0f}}, 2);
-  EXPECT_TRUE(serve::QueryEngine::BuildOverMatrix(matrix, {"c0", "c0"}, {})
+  const serve::MatrixGather gather = [&](std::vector<int32_t> order) {
+    return matrix->Reordered(std::move(order));
+  };
+  EXPECT_TRUE(serve::QueryEngine::BuildOverRows({"c0", "c0"}, {}, {}, gather)
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(serve::QueryEngine::BuildForPrefix(GeometricSnapshot(4), "zz")
@@ -990,6 +995,218 @@ TEST(QueryEngineTest, FallsBackToTrainingOnStaleSection) {
   ASSERT_TRUE(opted_out.ok());
   EXPECT_FALSE(opted_out->ivf_from_snapshot());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// One vector store: the exact and IVF indexes read one list-order matrix
+// ---------------------------------------------------------------------------
+
+constexpr int kOneMatrixDim = 16;
+constexpr size_t kOneMatrixRows = 300;
+
+/// Candidates "c<i>": 300 clustered rows, 40 of them duplicates and the
+/// last all-zero; `jitter` > 0 perturbs every row (the zero row too).
+serve::Snapshot DuplicatedRowsSnapshot(float jitter = 0.0f) {
+  auto vecs = ClusteredVectors(kOneMatrixRows, kOneMatrixDim, 12, 2024);
+  for (size_t i = 0; i < 40; ++i) vecs[150 + i] = vecs[i];
+  vecs.back().assign(static_cast<size_t>(kOneMatrixDim), 0.0f);
+  util::Rng rng(77);
+  for (auto& v : vecs) {
+    for (auto& x : v) x += jitter * static_cast<float>(rng.Gaussian());
+  }
+  serve::Snapshot snap;
+  snap.meta.scenario = "one-matrix";
+  snap.table = embed::EmbeddingTable(kOneMatrixDim);
+  for (size_t i = 0; i < vecs.size(); ++i) {
+    snap.table.Put("c" + std::to_string(i), vecs[i]);
+  }
+  return snap;
+}
+
+/// Queries on duplicated rows, on the zero row, and perturbed ones.
+std::vector<std::vector<float>> OneMatrixQueries() {
+  const serve::Snapshot snap = DuplicatedRowsSnapshot();
+  std::vector<std::vector<float>> queries;
+  for (const char* label : {"c3", "c153", "c299", "c77"}) {
+    queries.push_back(*snap.table.Get(label));
+  }
+  util::Rng rng(9);
+  for (int q = 0; q < 6; ++q) {
+    auto v = *snap.table.Get("c" + std::to_string(rng.UniformInt(
+                                       kOneMatrixRows)));
+    for (auto& x : v) x += 0.2f * static_cast<float>(rng.Gaussian());
+    queries.push_back(v);
+  }
+  return queries;
+}
+
+serve::QueryEngineOptions OneMatrixOptions(size_t pq_m) {
+  serve::QueryEngineOptions opts;
+  opts.ivf.nlist = 16;
+  opts.ivf.seed = 3;
+  opts.ivf.pq_m = pq_m;
+  opts.ivf.pq_rerank = kOneMatrixRows;  // ADC error cannot drop a member
+  return opts;
+}
+
+void ExpectSameAnswers(const std::vector<serve::ScoredMatch>& got,
+                       const std::vector<serve::ScoredMatch>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label) << where << " rank " << i;
+    EXPECT_EQ(got[i].candidate, want[i].candidate) << where << " rank " << i;
+    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+        << where << " rank " << i;
+  }
+}
+
+/// At nprobe = nlist the engine's IVF index answers exactly as its exact
+/// index — label, id and score bits, with and without a mask — because
+/// both read the same VectorMatrix, and a flat IVF owns no vector copy.
+void ExpectApproxIsExact(const serve::QueryEngine& engine,
+                         const std::string& where) {
+  ASSERT_TRUE(engine.has_ivf()) << where;
+  const serve::IvfIndex& ivf = *engine.ivf_index();
+  const serve::ExactIndex& exact = engine.exact_index();
+  EXPECT_EQ(exact.matrix().get(), ivf.matrix().get()) << where;
+  const size_t n = engine.num_candidates();
+  const int dim = ivf.dim();
+  if (!ivf.pq_enabled()) {
+    EXPECT_LT(ivf.MemoryBytes(), n * static_cast<size_t>(dim) * 4) << where;
+  }
+  std::vector<char> allowed(n);
+  for (size_t i = 0; i < n; ++i) allowed[i] = i % 3 != 1;
+  for (const auto& q : OneMatrixQueries()) {
+    std::vector<float> unit = q;
+    serve::NormalizeSlice(unit.data(), dim);
+    for (const size_t k : {size_t{1}, size_t{5}, n}) {
+      auto approx =
+          engine.QueryVector(q, k, serve::SearchMode::kApprox, ivf.nlist());
+      auto want = engine.QueryVector(q, k, serve::SearchMode::kExact);
+      ASSERT_TRUE(approx.ok() && want.ok()) << where;
+      ExpectSameAnswers(*approx, *want, where);
+
+      const auto got = ivf.SearchWithNprobe(unit.data(), k, ivf.nlist(),
+                                            &allowed);
+      const auto masked = exact.Search(unit.data(), k, &allowed);
+      ASSERT_EQ(got.size(), masked.size()) << where;
+      for (size_t i = 0; i < masked.size(); ++i) {
+        EXPECT_EQ(got[i].index, masked[i].index) << where << " masked " << i;
+        EXPECT_EQ(
+            std::memcmp(&got[i].score, &masked[i].score, sizeof(double)), 0)
+            << where << " masked " << i;
+      }
+    }
+  }
+}
+
+/// Writes `table` with `section` as its "ivfpq" section.
+std::string WriteOneMatrixSnapshot(const std::string& name,
+                                   const serve::Snapshot& src,
+                                   const std::string& section) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(serve::SnapshotIo::Write(
+                  src.table, src.meta,
+                  {{serve::QueryEngine::kIvfSectionTag, section}}, path)
+                  .ok());
+  return path;
+}
+
+TEST(OneMatrixTest, FullProbeIsExactOnTrainedAndAdoptedIndexes) {
+  for (const size_t pq_m : {size_t{0}, size_t{4}}) {
+    const serve::QueryEngineOptions opts = OneMatrixOptions(pq_m);
+    const std::string mode = pq_m > 0 ? "pq" : "flat";
+    auto trained =
+        serve::QueryEngine::BuildForPrefix(DuplicatedRowsSnapshot(), "c", opts);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    ASSERT_FALSE(trained->ivf_from_snapshot());
+    ExpectApproxIsExact(*trained, mode + " trained");
+
+    const std::string path = WriteOneMatrixSnapshot(
+        "one_matrix_" + mode + ".tds", DuplicatedRowsSnapshot(),
+        trained->SerializeIvfSection());
+    auto snap = serve::SnapshotIo::Read(path);
+    ASSERT_TRUE(snap.ok());
+    auto copied = serve::QueryEngine::BuildForPrefix(std::move(*snap), "c",
+                                                     opts);
+    ASSERT_TRUE(copied.ok() && copied->ivf_from_snapshot());
+    ExpectApproxIsExact(*copied, mode + " adopted from a table");
+
+    auto view = serve::SnapshotView::Open(path);
+    ASSERT_TRUE(view.ok());
+    auto mapped = serve::QueryEngine::BuildFromView(*view, "c", opts);
+    ASSERT_TRUE(mapped.ok() && mapped->ivf_from_snapshot());
+    ExpectApproxIsExact(*mapped, mode + " adopted from a view");
+    // The adopted index re-serializes to the bytes it was read from.
+    EXPECT_EQ(mapped->SerializeIvfSection(), trained->SerializeIvfSection());
+
+    serve::ShardedEngineOptions sharded_opts;
+    sharded_opts.shards = 4;
+    sharded_opts.engine = opts;
+    auto sharded =
+        serve::ShardedQueryEngine::BuildFromView(*view, "c", sharded_opts);
+    ASSERT_TRUE(sharded.ok() && sharded->ivf_from_snapshot());
+    for (size_t i = 0; i < sharded->active_shards(); ++i) {
+      ExpectApproxIsExact(sharded->shard(i),
+                          mode + " shard " + std::to_string(i));
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(OneMatrixTest, AdoptedSectionScoresThePayloadVectors) {
+  // The section was trained over perturbed vectors under the same labels,
+  // so its fingerprint is valid: the engines adopt its cells (and PQ
+  // codes) but score the payload's vectors, so approx at nprobe = nlist
+  // still equals exact — and exact equals an engine with no IVF at all.
+  for (const size_t pq_m : {size_t{0}, size_t{4}}) {
+    const serve::QueryEngineOptions opts = OneMatrixOptions(pq_m);
+    const std::string mode = pq_m > 0 ? "pq" : "flat";
+    auto perturbed = serve::QueryEngine::BuildForPrefix(
+        DuplicatedRowsSnapshot(0.5f), "c", opts);
+    ASSERT_TRUE(perturbed.ok());
+    const std::string section = perturbed->SerializeIvfSection();
+    const std::string path = WriteOneMatrixSnapshot(
+        "one_matrix_perturbed_" + mode + ".tds", DuplicatedRowsSnapshot(),
+        section);
+    auto view = serve::SnapshotView::Open(path);
+    ASSERT_TRUE(view.ok());
+
+    serve::QueryEngineOptions exact_only = opts;
+    exact_only.build_ivf = false;
+    auto reference = serve::QueryEngine::BuildFromView(*view, "c", exact_only);
+    auto adopted = serve::QueryEngine::BuildFromView(*view, "c", opts);
+    ASSERT_TRUE(reference.ok() && adopted.ok());
+    ASSERT_TRUE(adopted->ivf_from_snapshot());
+    ExpectApproxIsExact(*adopted, mode + " perturbed section");
+    for (const auto& q : OneMatrixQueries()) {
+      auto got = adopted->QueryVector(q, 5, serve::SearchMode::kApprox,
+                                      adopted->ivf_index()->nlist());
+      auto want = reference->QueryVector(q, 5, serve::SearchMode::kExact);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ExpectSameAnswers(*got, *want, mode + " against an IVF-free engine");
+    }
+    // Re-serialized, a flat index carries the payload's rows, not the
+    // section's perturbed copy; PQ codes are adopted as they are.
+    if (pq_m == 0) {
+      EXPECT_NE(adopted->SerializeIvfSection(), section);
+    } else {
+      EXPECT_EQ(adopted->SerializeIvfSection(), section);
+    }
+
+    serve::ShardedEngineOptions sharded_opts;
+    sharded_opts.shards = 4;
+    sharded_opts.engine = opts;
+    auto sharded =
+        serve::ShardedQueryEngine::BuildFromView(*view, "c", sharded_opts);
+    ASSERT_TRUE(sharded.ok() && sharded->ivf_from_snapshot());
+    for (size_t i = 0; i < sharded->active_shards(); ++i) {
+      ExpectApproxIsExact(sharded->shard(i),
+                          mode + " perturbed shard " + std::to_string(i));
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@
 #              budget: sanitized startup is slow), malformed bodies too.
 #   sharded    two servers, one unsharded and one --shards 4: exact- and
 #              approx-mode responses must be byte-identical (both adopt
-#              the snapshot's flat ivfpq section); then a flood against
+#              the snapshot's flat ivfpq section), before and after a
+#              /v1/reload of both; then a flood against
 #              --max-inflight 2 must produce at least one 429 with a
 #              well-formed Retry-After while /v1/healthz stays green and
 #              the /v1/stats shed counter advances.
@@ -220,15 +221,28 @@ case "$mode" in
     # spellings) for every query. Exact mode holds for any snapshot;
     # approx mode holds because every shard adopts its slice of the
     # snapshot's flat ivfpq section and probes the unsharded cells.
-    for search_mode in exact approx; do
-      for label in "q:0" "q:1" "q:2" "q:3"; do
-        body="{\"label\": \"$label\", \"k\": 5, \"mode\": \"$search_mode\"}"
-        post "$plain_port" "$body" > "$tmp_dir/plain.json"
-        post "$shard_port" "$body" > "$tmp_dir/shard.json"
-        cmp "$tmp_dir/plain.json" "$tmp_dir/shard.json" \
-          || fail "sharded $search_mode response for $label differs from unsharded"
+    compare_servers() {
+      local search_mode label body
+      for search_mode in exact approx; do
+        for label in "q:0" "q:1" "q:2" "q:3"; do
+          body="{\"label\": \"$label\", \"k\": 5, \"mode\": \"$search_mode\"}"
+          post "$plain_port" "$body" > "$tmp_dir/plain.json"
+          post "$shard_port" "$body" > "$tmp_dir/shard.json"
+          cmp "$tmp_dir/plain.json" "$tmp_dir/shard.json" \
+            || fail "sharded $search_mode response for $label differs from unsharded ($1)"
+        done
       done
+    }
+    compare_servers "first epoch"
+    # The identity must survive a reload: both servers rebuild their
+    # engines (the sharded one its list-order shard matrices) from the
+    # same snapshot and must still answer byte for byte alike.
+    for port in "$plain_port" "$shard_port"; do
+      curl -sf -X POST "http://127.0.0.1:$port/v1/reload" -d '{}' \
+        | grep -q '"snapshot_version":2' \
+        || fail "reload on port $port did not reach snapshot version 2"
     done
+    compare_servers "after reload"
 
     # Overload: flood past --max-inflight 2 with a debug delay holding
     # each admitted query in flight. At least one 429 with a well-formed
